@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intset import DomainError, ParseError
+from .intset import DomainError, ParseError, numbered_lines
 
 #: The catalog marks whole permutation orbits, so n! times the number of
 #: isomorphism classes must stay desk-sized.
@@ -245,17 +245,20 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Inverse of :func:`format_edge_list`; lines starting with ``#`` are
+    comments.  Errors carry the physical line number as their offset."""
+    lines = [(no, ln) for no, ln in numbered_lines(text) if not ln.startswith("#")]
     if not lines:
         raise ParseError("empty edge list", 1)
-    head = lines[0].split()
+    head_no, head_line = lines[0]
+    head = head_line.split()
     if len(head) != 2 or not all(w.isdigit() for w in head):
-        raise ParseError("first line must be 'n m' with two non-negative integers", 1)
+        raise ParseError("first line must be 'n m' with two non-negative integers", head_no)
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}", len(lines))
+        raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}", lines[-1][0])
     edges = set()
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         words = ln.split()
         if len(words) != 2 or not all(w.isdigit() for w in words):
             raise ParseError("edge line must be 'u v' with two non-negative integers", lineno)

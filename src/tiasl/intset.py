@@ -216,6 +216,16 @@ def format_set(s: IntSet) -> str:
     return "{" + ",".join(map(str, s)) + "}"
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text``, stripped, each with its 1-based
+    physical line number, which is what a line-oriented parser reports."""
+    return [
+        (lineno, ln)
+        for lineno, ln in enumerate((raw.strip() for raw in text.splitlines()), start=1)
+        if ln
+    ]
+
+
 def parse_set_text(text: str) -> IntSet:
     """Parse the canonical ``{0,1,2}`` form (whitespace around items allowed)."""
     stripped = text.strip()

@@ -29,6 +29,7 @@ from .intset import (
     ParseError,
     format_set,
     is_subset,
+    numbered_lines,
     parse_set_text,
     sumset,
 )
@@ -259,15 +260,18 @@ def format_labeling(l: SetLabeling) -> str:
 def parse_labeling_text(text: str) -> tuple[GroundSet, dict[int, IntSet]]:
     """Inverse of :func:`format_labeling`, except that the graph is supplied
     separately: returns the ground set and the vertex->set mapping."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("ground:"):
-        raise ParseError("labeling file must start with a 'ground:' line", 1)
+    lines = numbered_lines(text)
+    if not lines or not lines[0][1].startswith("ground:"):
+        raise ParseError(
+            "labeling file must start with a 'ground:' line", lines[0][0] if lines else 1
+        )
+    ground_no, ground_line = lines[0]
     try:
-        ground = GroundSet(parse_set_text(lines[0][len("ground:") :]))
+        ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
     except (ParseError, DomainError) as exc:
-        raise ParseError(f"bad ground set: {exc}", 1) from exc
+        raise ParseError(f"bad ground set: {exc}", ground_no) from exc
     labels: dict[int, IntSet] = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         head, sep, body = ln.partition(":")
         head = head.strip()
         if not sep or not head.startswith("v") or not head[1:].isdigit():

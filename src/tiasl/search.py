@@ -2,9 +2,10 @@
 
 ``find_tiasl`` enumerates candidate ground sets X in (|X|, lexicographic)
 order and, for each, streams the topologies on X with exactly n+1 opens
-(n = graph order) through a backtracking vertex/open bijection.  The first
-hit is returned with a certificate of work done; "exhausted" means no TIASL
-exists *within the given bounds*, never unconditional nonexistence.
+(n = graph order) through a backtracking vertex/open bijection; topologies
+whose ground-set open no vertex could take are counted, not built.  The
+first hit is returned with a certificate of work done; "exhausted" means no
+TIASL exists *within the given bounds*, never unconditional nonexistence.
 
 Identical inputs and bounds always yield identical outcomes and certificates,
 for any ``threads`` value: workers each exhaust one ground set and results
@@ -14,6 +15,7 @@ are consumed in the serial order.
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +31,8 @@ from .topology import (
     Topology,
     _abstract_open_masks,
     _topology_from_masks,
+    _zero_open_masks,
+    count_open_masks,
     discrete_topology,
     format_topology,
     translate_masks,
@@ -84,8 +88,10 @@ def default_bounds(g: Graph) -> SearchBounds:
 
 @dataclass
 class Certificate:
-    """Work counters: every enumerated ground set, every streamed topology,
-    and every vertex assignment made inside the bijection backtracker."""
+    """Work counters: every enumerated ground set, every topology with n+1
+    opens on those ground sets up to the hit (built, or counted in closed
+    form where no vertex could take the ground-set open), and every vertex
+    assignment made inside the bijection backtracker."""
 
     ground_sets_tried: int = 0
     topologies_tried: int = 0
@@ -202,24 +208,32 @@ def _ground_candidates(bounds: SearchBounds) -> list[tuple[int, ...]]:
 
 def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, int]):
     """Exhaust one ground set: returns (witness or None, topologies tried,
-    bijection nodes)."""
+    bijection nodes), with "tried" counting every topology of the stream up
+    to the hit, or the whole stream.
+
+    The ground-set open's only possible compatibility partner is {0}, so
+    unless {0} is open no vertex of degree >= 1 can take it.  This is the
+    degree prune applied to one open; it is definitional, not the pendant
+    theorem.  So the route is chosen once, from the minimum degree: with
+    min_deg >= 2 (or min_deg >= 1 and 0 not in X) no topology can be used
+    and the stream is counted in closed form; with min_deg == 1 only the
+    topologies with {0} open are built, each at its index in the stream;
+    with min_deg == 0 every topology is built.  The same topologies reach
+    the backtracker in the same order as in a full stream, so the counters
+    equal those of building every topology and skipping the unusable ones."""
     g, elems, k, min_deg = args
     s = len(elems)
     if 2**s < k:
         return None, 0, 0
+    if min_deg >= 2 or (min_deg == 1 and elems[0] != 0):
+        return None, count_open_masks(s, k), 0
+    if min_deg == 1:
+        families = _zero_open_masks(s, k)
+    else:
+        families = enumerate(_abstract_open_masks(s, k))
     x = GroundSet(IntSet(elems))
-    zero_first = elems[0] == 0
-    topologies = 0
     nodes = [0]
-    for abstract in _abstract_open_masks(s, k):
-        topologies += 1
-        # The ground-set open's only possible compatibility partner is {0},
-        # so unless {0} is open no vertex of degree >= 1 can take it.  This
-        # is the degree prune applied to one open, hoisted above the mask
-        # translation; it is definitional, not the pendant theorem.
-        x_compat = 1 if zero_first and 1 in abstract else 0
-        if min_deg > x_compat:
-            continue
+    for index, abstract in families:
         t = _topology_from_masks(x, translate_masks(abstract, x))
         lab = bijection_match(g, t, _nodes=nodes)
         if lab is not None:
@@ -227,8 +241,17 @@ def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, int]):
                 raise RuntimeError(
                     "internal error: search witness failed verification"
                 )
-            return SearchWitness(t, lab), topologies, nodes[0]
-    return None, topologies, nodes[0]
+            return SearchWitness(t, lab), index + 1, nodes[0]
+    return None, count_open_masks(s, k), nodes[0]
+
+
+def _pool_size(threads: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: at most ``threads``,
+    the CPU count, and the number of tasks, since a process pool starts all
+    its workers up front.  1 means run serially."""
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1, tasks)
 
 
 def find_tiasl(
@@ -257,17 +280,18 @@ def find_tiasl(
         raise DomainError(
             f"search covers ground sets of size <= {GROUND_SIZE_GUARD}"
         )
+    candidates = _ground_candidates(bounds)
+    workers = _pool_size(threads, len(candidates))
     cert = Certificate()
     degs = g.degrees()
     if pendant_prune and n > 0 and min(degs) >= 2:
         return SearchOutcome("pruned-by-theorem", None, cert, bounds)
     min_deg = min(degs) if n else 0
-    candidates = _ground_candidates(bounds)
     tasks = [(g, elems, k, min_deg) for elems in candidates]
 
-    if threads > 1 and len(tasks) > 1:
+    if workers > 1:
         ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             for witness, topologies, nodes in pool.map(_search_one_ground, tasks):
                 cert.ground_sets_tried += 1
                 cert.topologies_tried += topologies
@@ -405,9 +429,10 @@ def theorem_sweep(
         )
     graphs = list(connected_graph_catalog(max_n))
     tasks = [(g, max_element, max_ground_size) for g in graphs]
-    if threads > 1 and len(tasks) > 1:
+    workers = _pool_size(threads, len(tasks))
+    if workers > 1:
         ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             entries = list(pool.map(_sweep_one, tasks))
     else:
         entries = [_sweep_one(t) for t in tasks]

@@ -10,6 +10,11 @@ then element tuple).  Two enumeration routes are provided:
   (partition of X, labeled poset on the blocks); the opens are the unions of
   blocks over up-closed class sets, so a poset with exactly k up-sets yields a
   topology with exactly k opens.  This is the bounded route the searcher uses.
+
+The same partition × poset decomposition counts that stream in closed form
+(:func:`count_open_masks`) and walks only its families with {position 0}
+open (``_zero_open_masks``), so the searcher can certify the topologies it
+can never use without building them.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .intset import (
     ParseError,
     canonical_key,
     format_set,
+    numbered_lines,
     parse_set_text,
     sumset_mask,
 )
@@ -339,24 +345,76 @@ def _partitions_into_blocks(s: int, c: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
-def _abstract_open_masks(s: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Open families (as tuples of bit masks over positions 0..s-1) of every
-    topology on an s-element set with exactly k opens.  Each topology appears
-    exactly once: partition blocks and the induced class poset are recoverable
-    from the family."""
+def _class_posets(s: int, k: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(c, posets) for each class count c, ascending, at which an s-element
+    set has topologies with exactly k opens: c blocks, and the labeled posets
+    on the c classes with exactly k up-sets."""
     if k < 2 or k > 2**s:
         return
     for c in range(1, s + 1):
         if c + 1 > k or 2**c < k:
             continue
         posets = _posets_with_up_set_count(c, k)
-        if not posets:
-            continue
+        if posets:
+            yield c, posets
+
+
+def _family_walk(
+    s: int, k: int
+) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The partition × poset walk behind every open-family stream: yields
+    (index, blocks, posets) per partition, where the partition's families are
+    ``posets`` in order and the first of them is family ``index`` of the
+    stream."""
+    index = 0
+    for c, posets in _class_posets(s, k):
         for blocks in _partitions_into_blocks(s, c):
-            for ups in posets:
-                yield tuple(
-                    _or_blocks(u, blocks) for u in ups
-                )
+            yield index, blocks, posets
+            index += len(posets)
+
+
+def _abstract_open_masks(s: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Open families (as tuples of bit masks over positions 0..s-1) of every
+    topology on an s-element set with exactly k opens.  Each topology appears
+    exactly once: partition blocks and the induced class poset are recoverable
+    from the family."""
+    for _, blocks, posets in _family_walk(s, k):
+        for ups in posets:
+            yield tuple(_or_blocks(u, blocks) for u in ups)
+
+
+def _zero_open_masks(s: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, family) for the families of :func:`_abstract_open_masks` in
+    which the singleton {position 0} is open, where ``index`` is the family's
+    position in that stream.  {position 0} is open exactly when it is a block
+    of its own (block 0, as blocks are ordered by least member) and {class 0}
+    is an up-set; every other partition is skipped without building its
+    families."""
+    for index, blocks, posets in _family_walk(s, k):
+        if blocks[0] != 1:
+            continue
+        for i, ups in enumerate(posets, index):
+            if 1 in ups:
+                yield i, tuple(_or_blocks(u, blocks) for u in ups)
+
+
+@lru_cache(maxsize=None)
+def _stirling2(n: int, c: int) -> int:
+    """Partitions of an n-element set into exactly c non-empty blocks."""
+    if n == c:
+        return 1
+    if c == 0 or c > n:
+        return 0
+    return c * _stirling2(n - 1, c) + _stirling2(n - 1, c - 1)
+
+
+@lru_cache(maxsize=None)
+def count_open_masks(s: int, k: int) -> int:
+    """Number of topologies on an s-element set with exactly k opens, i.e. the
+    length of :func:`_abstract_open_masks` ``(s, k)``, in closed form:
+    Σ_c S(s,c)·|posets on c classes with k up-sets| (Comtet 1966; Erné and
+    Stege, "Counting finite posets and topologies", Order 8, 1991)."""
+    return sum(_stirling2(s, c) * len(posets) for c, posets in _class_posets(s, k))
 
 
 def _or_blocks(class_mask: int, blocks: tuple[int, ...]) -> int:
@@ -477,16 +535,19 @@ def format_topology(t: Topology) -> str:
 
 def parse_topology_text(text: str) -> Topology:
     """Inverse of :func:`format_topology`; validates the axioms."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("ground:"):
-        raise ParseError("topology file must start with a 'ground:' line", 1)
+    lines = numbered_lines(text)
+    if not lines or not lines[0][1].startswith("ground:"):
+        raise ParseError(
+            "topology file must start with a 'ground:' line", lines[0][0] if lines else 1
+        )
+    ground_no, ground_line = lines[0]
     try:
-        ground = GroundSet(parse_set_text(lines[0][len("ground:") :]))
+        ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
     except (ParseError, DomainError) as exc:
-        raise ParseError(f"bad ground set: {exc}", 1) from exc
+        raise ParseError(f"bad ground set: {exc}", ground_no) from exc
     opens = []
     saw_empty = False
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         try:
             s = parse_set_text(ln)
         except ParseError as exc:
@@ -494,5 +555,5 @@ def parse_topology_text(text: str) -> Topology:
         saw_empty = saw_empty or not s
         opens.append(s)
     if not saw_empty:
-        raise ParseError("topology file must list the empty set '{}'", len(lines))
+        raise ParseError("topology file must list the empty set '{}'", lines[-1][0])
     return Topology.from_family(opens, ground)

@@ -3,7 +3,9 @@
 Everything here works on primitive Python types (frozensets of ints, edge
 lists as (u, v) pairs) and deliberately avoids the package's own
 representations, so a bug in the package cannot hide inside its oracle.
-All of it is exponential and meant only for small instances.
+All of it is exponential and meant only for small instances.  The exception
+is the last section, which keeps reference copies of code that a fast path
+replaced.
 """
 
 from itertools import combinations, permutations
@@ -107,3 +109,63 @@ def canonical_edge_mask(order, edges):
         if best is None or m < best:
             best = m
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of replaced fast paths.  Unlike the oracles above, these
+# deliberately call the package's own building blocks: each one pins the
+# observable behaviour of the code a fast path replaced.
+
+
+def search_one_ground_reference(args):
+    """The per-ground-set search loop as it was before skipped topologies
+    were counted in closed form: stream every topology with k opens, skip
+    those whose ground-set open no vertex could take, and try the rest.
+    Returns (witness or None, topologies tried, bijection nodes)."""
+    from tiasl import GroundSet, IntSet, bijection_match, verify_tiasl
+    from tiasl.search import SearchWitness
+    from tiasl.topology import (
+        _abstract_open_masks,
+        _topology_from_masks,
+        translate_masks,
+    )
+
+    g, elems, k, min_deg = args
+    s = len(elems)
+    if 2**s < k:
+        return None, 0, 0
+    x = GroundSet(IntSet(elems))
+    zero_first = elems[0] == 0
+    topologies = 0
+    nodes = [0]
+    for abstract in _abstract_open_masks(s, k):
+        topologies += 1
+        x_compat = 1 if zero_first and 1 in abstract else 0
+        if min_deg > x_compat:
+            continue
+        t = _topology_from_masks(x, translate_masks(abstract, x))
+        lab = bijection_match(g, t, _nodes=nodes)
+        if lab is not None:
+            assert verify_tiasl(lab).is_tiasl
+            return SearchWitness(t, lab), topologies, nodes[0]
+    return None, topologies, nodes[0]
+
+
+def find_tiasl_reference(g, bounds):
+    """Serial, unpruned ``find_tiasl`` over :func:`search_one_ground_reference`:
+    returns (witness or None, (ground sets, topologies, bijection nodes))."""
+    from tiasl.search import _ground_candidates
+
+    degs = g.degrees()
+    min_deg = min(degs) if g.order else 0
+    totals = [0, 0, 0]
+    for elems in _ground_candidates(bounds):
+        witness, topologies, nodes = search_one_ground_reference(
+            (g, elems, g.order + 1, min_deg)
+        )
+        totals[0] += 1
+        totals[1] += topologies
+        totals[2] += nodes
+        if witness is not None:
+            return witness, tuple(totals)
+    return None, tuple(totals)

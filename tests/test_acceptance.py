@@ -1,6 +1,8 @@
-"""Acceptance suite: seven end-to-end criteria, one test (and one pass/fail
+"""Acceptance suite: eight end-to-end criteria, one test (and one pass/fail
 line) each.  Budgets are wall-clock seconds enforced inside the test."""
 
+import contextlib
+import io
 import random
 import time
 
@@ -30,6 +32,7 @@ from tiasl import (
     verify_tiasl,
     verify_tiasi,
 )
+from tiasl.cli import main
 
 from oracles import all_topologies, classify_labeling
 
@@ -297,4 +300,35 @@ def test_criterion_7_invariant_suite():
         "full order <= 6 catalog, pendant restrictions stay topologies",
         ok and catalog_size == 143 and restricted == len(graphs),
         f"catalog {catalog_size}, {restricted} restrictions",
+    )
+
+
+def test_criterion_8_pendant_characterization_sweep_order_6():
+    t0 = time.perf_counter()
+    report = theorem_sweep(6)
+    elapsed = time.perf_counter() - t0
+    exhausted = [
+        e for e in report.entries if e.order == 6 and e.disposition == "exhausted"
+    ]
+    notes = {e.note for e in exhausted}
+    threaded = theorem_sweep(6, threads=2)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = main(["sweep", "--max-n", "6"])
+    ok = (
+        report.graphs_processed == 143
+        and report.inconsistencies == ()
+        and len(exhausted) == 61
+        and notes == {"ground_sets=512 topologies=90462510"}
+        and threaded == report
+        and exit_code == 0
+        and elapsed < 600.0
+    )
+    _report(
+        8,
+        "all 143 connected graphs of order <= 6 are consistent with the "
+        "pendant characterization, each pendant-free order-6 graph exhausting "
+        "90,462,510 topologies over 512 ground sets (budget 10 min)",
+        ok,
+        f"{report.graphs_processed} graphs, {len(report.inconsistencies)} "
+        f"inconsistent, {len(exhausted)} exhausted at order 6, {elapsed:.1f}s",
     )

@@ -222,6 +222,13 @@ class TestSearch:
         assert main(["search", str(f), "--threads", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, c4_file, capsys, threads):
+        assert main(["search", c4_file, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "threads" in captured.err
+
 
 class TestTopologies:
     def test_count_default(self, capsys):
@@ -289,6 +296,13 @@ class TestSweep:
 
     def test_guard(self, capsys):
         assert main(["sweep", "--max-n", "9"]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        assert main(["sweep", "--max-n", "3", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "threads" in captured.err
 
 
 class TestUsageErrors:

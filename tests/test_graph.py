@@ -198,6 +198,20 @@ class TestEdgeListText:
         with pytest.raises(ParseError):
             parse_edge_list("")
 
+    def test_comment_lines_skipped(self):
+        assert parse_edge_list("# c\n2 1\n0 1\n") == path(2)
+        assert parse_edge_list("3 2\n# first\n0 1\n  # second\n1 2\n") == path(3)
+        with pytest.raises(ParseError, match="empty"):
+            parse_edge_list("# only a comment\n")
+
+    def test_errors_report_physical_lines(self):
+        with pytest.raises(ParseError) as e:
+            parse_edge_list("3 2\n\n\n0 1\n0 0\n")
+        assert e.value.offset == 5
+        with pytest.raises(ParseError) as e:
+            parse_edge_list("# c\n\nx y\n")
+        assert e.value.offset == 3
+
 
 class TestCatalog:
     # Connected simple graphs on n unlabeled vertices, n = 1..7.

@@ -223,6 +223,14 @@ class TestTextForms:
         with pytest.raises(ParseError, match="duplicate"):
             parse_labeling_text("ground: {0,1}\nv0: {0}\nv0: {1}\n")
 
+    def test_parse_errors_report_physical_lines(self):
+        with pytest.raises(ParseError) as e:
+            parse_labeling_text("\nground: {0,1}\n\nv0: {0}\n\nvx: {1}\n")
+        assert e.value.offset == 6
+        with pytest.raises(ParseError) as e:
+            parse_labeling_text("\n\nground: {0,}\n")
+        assert e.value.offset == 3
+
     def test_format_report_text(self):
         rep = verify_tiasl(lab(path(2), [0, 1], (0,), (0, 1)))
         text = format_report(rep)

@@ -1,5 +1,7 @@
 """Bounded exhaustive search, bijection matching, admissibility, sweep."""
 
+import os
+
 import pytest
 
 from tiasl import (
@@ -10,6 +12,7 @@ from tiasl import (
     SearchBounds,
     bijection_match,
     complete,
+    connected_graph_catalog,
     cycle,
     default_bounds,
     discrete_admissibility,
@@ -21,13 +24,20 @@ from tiasl import (
     outcome_to_dict,
     pan,
     path,
+    pendant_vertices,
     star,
     theorem_sweep,
     topological_set_indexing_number,
     verify_tiasl,
 )
 
-from oracles import bijection_exists
+from tiasl.search import _ground_candidates, _pool_size, _search_one_ground
+
+from oracles import (
+    bijection_exists,
+    find_tiasl_reference,
+    search_one_ground_reference,
+)
 
 
 def ground(*elems):
@@ -174,6 +184,80 @@ class TestFindTiasl:
         a = find_tiasl(cycle(4), SearchBounds(4, 5), pendant_prune=False)
         b = find_tiasl(cycle(4), SearchBounds(4, 5), pendant_prune=False, threads=2)
         assert a == b
+
+
+def _plus_isolated(g):
+    return Graph.from_edges(g.order + 1, sorted(g.edges))
+
+
+def _counters(outcome):
+    c = outcome.certificate
+    return (c.ground_sets_tried, c.topologies_tried, c.bijection_nodes)
+
+
+class TestCountedCertificates:
+    """The counted and {0}-open routes against the loop that built every
+    topology and skipped the ones no vertex could use."""
+
+    # Minimum degree 2 and 1 (connected, order >= 2), and 0 (K1, and order-3
+    # graphs plus an isolated vertex).
+    GRAPHS = list(connected_graph_catalog(4)) + [
+        _plus_isolated(g) for g in connected_graph_catalog(3)
+    ]
+
+    @pytest.mark.parametrize("require_zero", [True, False])
+    def test_every_ground_set_matches_reference(self, require_zero):
+        for g in self.GRAPHS:
+            b = default_bounds(g)
+            bounds = SearchBounds(b.max_element, b.max_ground_size, require_zero)
+            min_deg = min(g.degrees())
+            for elems in _ground_candidates(bounds):
+                task = (g, elems, g.order + 1, min_deg)
+                assert _search_one_ground(task) == search_one_ground_reference(task), (
+                    g,
+                    elems,
+                )
+            out = find_tiasl(g, bounds, pendant_prune=False)
+            witness, counters = find_tiasl_reference(g, bounds)
+            assert _counters(out) == counters
+            assert out.witness == witness
+
+    def test_tsin_pendant_graphs_match_reference(self):
+        graphs = [
+            g
+            for g in connected_graph_catalog(6)
+            if g.order >= 5 and pendant_vertices(g)
+        ]
+        assert len(graphs) == 61
+        for g in graphs:
+            tsin, out = topological_set_indexing_number(g)
+            witness, counters = find_tiasl_reference(g, default_bounds(g))
+            assert _counters(out) == counters
+            assert out.witness == witness
+            assert tsin == len(witness.topology.ground)
+
+
+class TestPoolSize:
+    def test_clamped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _pool_size(100_000, 10**9) == 64
+        assert _pool_size(100_000, 3) == 3
+        assert _pool_size(2, 10**9) == 2
+        assert _pool_size(1, 10**9) == 1
+        assert _pool_size(8, 0) == 0
+
+    def test_unknown_cpu_count_means_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(100_000, 10**9) == 1
+
+    @pytest.mark.parametrize("threads", [0, -1, -100_000])
+    def test_rejects_below_one(self, threads):
+        with pytest.raises(DomainError):
+            _pool_size(threads, 10)
+        with pytest.raises(DomainError):
+            find_tiasl(path(2), threads=threads)
+        with pytest.raises(DomainError):
+            theorem_sweep(2, threads=threads)
 
 
 class TestIndexingNumber:

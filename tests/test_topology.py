@@ -21,6 +21,7 @@ from tiasl import (
     sierpinski_topology,
     topologies_with_open_count,
 )
+from tiasl.topology import _abstract_open_masks, _zero_open_masks, count_open_masks
 
 from oracles import all_topologies, is_topology
 
@@ -193,6 +194,40 @@ class TestEnumeration:
         assert len(seen) == len(set(seen))
 
 
+#: Largest stream the differential tests below build in full.
+STREAM_BUDGET = 200_000
+
+#: Every (s, k) with s <= 10 and k <= 7 whose stream fits the budget.
+SMALL_STREAMS = [
+    (s, k)
+    for s in range(1, 11)
+    for k in range(8)
+    if count_open_masks(s, k) <= STREAM_BUDGET
+]
+
+
+class TestCountedStream:
+    @pytest.mark.parametrize("s,k", SMALL_STREAMS)
+    def test_count_matches_stream(self, s, k):
+        assert count_open_masks(s, k) == sum(1 for _ in _abstract_open_masks(s, k))
+
+    def test_pinned_counts(self):
+        assert count_open_masks(7, 7) == 67620
+        assert count_open_masks(8, 6) == 193032
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_counts_sum_to_all_topologies(self, s):
+        """Summed over every open count, the closed form gives the number of
+        topologies on s points (OEIS A000798)."""
+        total = sum(count_open_masks(s, k) for k in range(2**s + 1))
+        assert total == TestEnumeration.COUNTS[s]
+
+    @pytest.mark.parametrize("s,k", [(s, k) for s, k in SMALL_STREAMS if s <= 8])
+    def test_zero_open_walk_matches_filtered_stream(self, s, k):
+        want = [(i, a) for i, a in enumerate(_abstract_open_masks(s, k)) if 1 in a]
+        assert list(_zero_open_masks(s, k)) == want
+
+
 class TestCompatibility:
     def test_indiscrete_no_edges(self):
         cg = compatibility_graph(indiscrete_topology(g(0, 1)))
@@ -267,6 +302,15 @@ class TestTopologyText:
             parse_topology_text(text)
         assert e.value.offset == 3
         assert "bad open set" in str(e.value)
+
+    def test_parse_reports_physical_line(self):
+        text = "ground: {0,1}\n\n{}\n\n{0,oops}\n{0,1}\n"
+        with pytest.raises(ParseError) as e:
+            parse_topology_text(text)
+        assert e.value.offset == 5
+        with pytest.raises(ParseError) as e:
+            parse_topology_text("ground: {0,1}\n\n{0}\n\n{0,1}\n")
+        assert e.value.offset == 5
 
     def test_parse_requires_empty_set_line(self):
         with pytest.raises(ParseError, match="empty set"):
