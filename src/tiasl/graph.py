@@ -83,9 +83,12 @@ def isolated_vertices(g: Graph) -> tuple[int, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.order == 0:
-        return False
-    adj = g.adjacency()
+    return g.order > 0 and _reaches_all(g.adjacency())
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """Breadth-first search from vertex 0 over an adjacency list: does it
+    reach every vertex?"""
     seen = {0}
     queue = deque((0,))
     while queue:
@@ -94,7 +97,7 @@ def is_connected(g: Graph) -> bool:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
-    return len(seen) == g.order
+    return len(seen) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +281,6 @@ def parse_edge_list(text: str) -> Graph:
 # connected catalog
 
 
-def _mask_connected(mask: int, n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    b = 0
-    m = mask
-    while m:
-        if m & 1:
-            u, v = pairs[b]
-            adj[u].append(v)
-            adj[v].append(u)
-        m >>= 1
-        b += 1
-    seen = 1
-    queue = deque((0,))
-    marked = {0}
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in marked:
-                marked.add(u)
-                seen += 1
-                queue.append(u)
-    return seen == n
-
-
 def _connected_graphs_of_order(n: int):
     if n == 1:
         yield Graph(1, frozenset())
@@ -330,7 +309,12 @@ def _connected_graphs_of_order(n: int):
             seen_view[imgs] = 1
         else:
             seen[0] = 1
-        if _mask_connected(m, n, pairs):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for b in slots:
+            u, v = pairs[b]
+            adj[u].append(v)
+            adj[v].append(u)
+        if _reaches_all(adj):
             yield Graph.from_edges(n, (pairs[b] for b in slots))
         m = seen.find(0, m)
 

@@ -24,10 +24,18 @@ class ParseError(ValueError):
     """Malformed textual input.  ``offset`` locates the offending position."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+    def on_line(self, what: str, lineno: int, start: int) -> "ParseError":
+        """This error, raised with a 0-based column offset into the part of
+        a line that begins at column ``start``, restated with the line
+        number as its offset and the position as a 1-based column."""
+        column = start + self.offset + 1
+        return ParseError(f"{what}: {self.reason} at column {column}", lineno)
 
 
 class IntSet:

@@ -268,7 +268,9 @@ def parse_labeling_text(text: str) -> tuple[GroundSet, dict[int, IntSet]]:
     ground_no, ground_line = lines[0]
     try:
         ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
-    except (ParseError, DomainError) as exc:
+    except ParseError as exc:
+        raise exc.on_line("bad ground set", ground_no, len("ground:")) from exc
+    except DomainError as exc:
         raise ParseError(f"bad ground set: {exc}", ground_no) from exc
     labels: dict[int, IntSet] = {}
     for lineno, ln in lines[1:]:
@@ -282,7 +284,8 @@ def parse_labeling_text(text: str) -> tuple[GroundSet, dict[int, IntSet]]:
         try:
             labels[v] = parse_set_text(body)
         except ParseError as exc:
-            raise ParseError(f"bad label for vertex {v}: {exc}", lineno) from exc
+            start = len(ln) - len(body)
+            raise exc.on_line(f"bad label for vertex {v}", lineno, start) from exc
     return ground, labels
 
 

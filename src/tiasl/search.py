@@ -17,9 +17,11 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Iterator
 
 from .constructive import label_any_pendant
 from .graph import Graph, connected_graph_catalog, emit_graph6, pendant_vertices
@@ -254,6 +256,19 @@ def _pool_size(threads: int, tasks: int) -> int:
     return min(threads, os.cpu_count() or 1, tasks)
 
 
+def _task_map(fn, tasks: list, workers: int) -> Iterator:
+    """``fn`` over ``tasks``, results in task order: serially for one worker
+    (or none), else on a ``fork`` pool of ``workers`` processes.  Closing the
+    generator early cancels the tasks not yet started and shuts the pool
+    down before ``close`` returns."""
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    ctx = get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(fn, tasks)
+
+
 def find_tiasl(
     g: Graph,
     bounds: SearchBounds | None = None,
@@ -288,19 +303,8 @@ def find_tiasl(
         return SearchOutcome("pruned-by-theorem", None, cert, bounds)
     min_deg = min(degs) if n else 0
     tasks = [(g, elems, k, min_deg) for elems in candidates]
-
-    if workers > 1:
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for witness, topologies, nodes in pool.map(_search_one_ground, tasks):
-                cert.ground_sets_tried += 1
-                cert.topologies_tried += topologies
-                cert.bijection_nodes += nodes
-                if witness is not None:
-                    return SearchOutcome("found", witness, cert, bounds)
-    else:
-        for task in tasks:
-            witness, topologies, nodes = _search_one_ground(task)
+    with closing(_task_map(_search_one_ground, tasks, workers)) as results:
+        for witness, topologies, nodes in results:
             cert.ground_sets_tried += 1
             cert.topologies_tried += topologies
             cert.bijection_nodes += nodes
@@ -429,13 +433,7 @@ def theorem_sweep(
         )
     graphs = list(connected_graph_catalog(max_n))
     tasks = [(g, max_element, max_ground_size) for g in graphs]
-    workers = _pool_size(threads, len(tasks))
-    if workers > 1:
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            entries = list(pool.map(_sweep_one, tasks))
-    else:
-        entries = [_sweep_one(t) for t in tasks]
+    entries = _task_map(_sweep_one, tasks, _pool_size(threads, len(tasks)))
     return SweepReport(max_n, tuple(entries))
 
 

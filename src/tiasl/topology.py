@@ -1,20 +1,22 @@
 """Finite topologies on small ground sets.
 
 A topology is kept as its tuple of open sets in canonical order (cardinality,
-then element tuple).  Two enumeration routes are provided:
+then element tuple).  Topologies on an s-element set correspond one to one
+to pairs (partition of the set, labeled poset on the blocks): the opens are
+the unions of blocks over up-closed class sets, so a poset with exactly k
+up-sets yields a topology with exactly k opens.  One generator of labeled
+posets, by one-point extension, serves every route over that walk:
 
-* :func:`enumerate_topologies` — direct include/exclude search over all
-  subset families, exact but limited to ``|X| <= 5``.
-* :func:`topologies_with_open_count` — generates only topologies with a fixed
-  number of opens via the correspondence between topologies on X and pairs
-  (partition of X, labeled poset on the blocks); the opens are the unions of
-  blocks over up-closed class sets, so a poset with exactly k up-sets yields a
-  topology with exactly k opens.  This is the bounded route the searcher uses.
+* :func:`enumerate_topologies` — every topology on ``x`` (|x| <= 5), or
+  those with a given open count, sorted into a fixed order.
+* :func:`topologies_with_open_count` — only the topologies with a fixed
+  number of opens, streamed without building the rest.  This is the bounded
+  route the searcher uses.
 
-The same partition × poset decomposition counts that stream in closed form
-(:func:`count_open_masks`) and walks only its families with {position 0}
-open (``_zero_open_masks``), so the searcher can certify the topologies it
-can never use without building them.
+The same walk counts that stream in closed form (:func:`count_open_masks`)
+and walks only its families with {position 0} open (``_zero_open_masks``),
+so the searcher can certify the topologies it can never use without
+building them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .intset import (
     sumset_mask,
 )
 
-#: Guards for the bounded (fixed open count) route: poset tables are built by
-#: a 3^C(c,2) relation scan for c <= 5 classes and by direct chain generation
-#: for c = 6, which covers every open count k <= 7.
+#: Guards for the bounded (fixed open count) route.  A poset table is built
+#: only for at most OPEN_COUNT_GUARD up-sets or at most ENUMERATE_GUARD
+#: classes: every table on c <= 5 classes, and the tables on more classes
+#: with k <= 7 up-sets, whose largest (c = 6, k = 7) holds the 720 chains.
 OPEN_COUNT_GUARD = 7
 GROUND_SIZE_GUARD = 10
 
@@ -194,129 +197,66 @@ def chain_topology(k: int, x: GroundSet) -> Topology:
 
 
 # ---------------------------------------------------------------------------
-# unrestricted enumeration (small ground sets)
-
-
-def enumerate_topologies(
-    x: GroundSet, open_count_filter: int | None = None
-) -> Iterator[Topology]:
-    """All topologies on ``x`` (optionally only those with a given number of
-    opens), in a fixed order.  Exponential in 2^|x|; guarded at |x| <= 5 —
-    for larger ground sets with a known open count use
-    :func:`topologies_with_open_count`.
-    """
-    s = len(x)
-    if s > ENUMERATE_GUARD:
-        raise DomainError(
-            f"enumerate_topologies is limited to ground sets of size {ENUMERATE_GUARD}; "
-            "for a fixed open count use topologies_with_open_count instead"
-        )
-    full = x.members.mask
-    subs = []
-    m = (full - 1) & full
-    while m:
-        subs.append(m)
-        m = (m - 1) & full
-    subs.sort()
-
-    def close(included: set[int], seed: int) -> set[int]:
-        added = {seed}
-        work = [seed]
-        while work:
-            a = work.pop()
-            for b in list(included) + list(added):
-                for r in (a | b, a & b):
-                    if r and r != full and r not in included and r not in added:
-                        added.add(r)
-                        work.append(r)
-        return added
-
-    def dfs(pos: int, included: set[int], excluded: set[int]) -> Iterator[Topology]:
-        if open_count_filter is not None and len(included) + 2 > open_count_filter:
-            return
-        if pos == len(subs):
-            if open_count_filter is None or len(included) + 2 == open_count_filter:
-                yield _topology_from_masks(x, included)
-            return
-        m = subs[pos]
-        if m in included:
-            yield from dfs(pos + 1, included, excluded)
-            return
-        excluded.add(m)
-        yield from dfs(pos + 1, included, excluded)
-        excluded.remove(m)
-        added = close(included, m)
-        if not added & excluded:
-            included |= added
-            yield from dfs(pos + 1, included, excluded)
-            included -= added
-
-    yield from dfs(0, set(), set())
-
-
-# ---------------------------------------------------------------------------
-# bounded route: fixed open count via partitions and labeled posets
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# labeled posets and the topologies built from them
 
 
 @lru_cache(maxsize=None)
-def _all_labeled_posets(c: int) -> tuple[tuple[int, ...], ...]:
-    """Every labeled poset on c elements, each given by its tuple of up-closed
-    subsets (as bit masks over the c elements).  Scans the 3^C(c,2) orientation
-    assignments and keeps the transitive ones."""
-    pairs = list(itertools.combinations(range(c), 2))
-    posets = []
-    for assign in itertools.product((0, 1, 2), repeat=len(pairs)):
-        succ = [0] * c
-        for (i, j), a in zip(pairs, assign):
-            if a == 1:
-                succ[i] |= 1 << j
-            elif a == 2:
-                succ[j] |= 1 << i
-        ok = True
-        for i in range(c):
-            si = succ[i]
-            for j in _bit_indices(si):
-                if succ[j] & ~si:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        ups = tuple(
-            u
-            for u in range(1 << c)
-            if all(succ[i] & ~u == 0 for i in _bit_indices(u))
+def _labeled_posets(
+    c: int, bound: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every labeled poset on c elements with at most ``bound`` up-sets, as
+    (above, ups): ``above[i]`` masks the elements strictly above i, and
+    ``ups`` lists the up-closed subsets in ascending mask order.
+
+    One-point extension (Brinkmann and McKay, "Posets on up to 16 points",
+    Order 19, 2002): element c-1 joins each poset on c-1 elements above a
+    down-set D and below an up-set U, where every element of D lies below
+    every element of U.  The old up-sets missing D stay up-sets, and W with
+    the new element added is one whenever U ⊆ W.  No old up-set is lost, so
+    a poset with more than ``bound`` up-sets only has extensions with more,
+    and is pruned at every level.  The table is sorted by relation vector:
+    over the pairs i < j in ``itertools.combinations`` order, 0 when i and
+    j are incomparable, 1 when i < j and 2 when j < i."""
+    if bound > OPEN_COUNT_GUARD and c > ENUMERATE_GUARD:
+        raise DomainError(
+            f"poset tables on {c} classes cover at most {OPEN_COUNT_GUARD} "
+            f"up-sets, got a bound of {bound}"
         )
-        posets.append(ups)
-    return tuple(posets)
+    if c == 0:
+        return (((), (0,)),)
+    new = 1 << (c - 1)
+    table = []
+    for above, ups in _labeled_posets(c - 1, bound):
+        for v in ups:  # D is the complement of the up-set v
+            down = (new - 1) & ~v
+            allowed = v
+            for i, a in enumerate(above):
+                if down >> i & 1:
+                    allowed &= a
+            for u in ups:
+                if u & ~allowed:
+                    continue
+                new_ups = [w for w in ups if not w & down]
+                new_ups += [w | new for w in ups if not u & ~w]
+                if len(new_ups) > bound:
+                    continue
+                new_above = [a | new if down >> i & 1 else a for i, a in enumerate(above)]
+                table.append((tuple(new_above) + (u,), tuple(new_ups)))
+    pairs = list(itertools.combinations(range(c), 2))
+    table.sort(
+        key=lambda poset: [
+            1 if poset[0][i] >> j & 1 else 2 if poset[0][j] >> i & 1 else 0
+            for i, j in pairs
+        ]
+    )
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
 def _posets_with_up_set_count(c: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if c <= 5:
-        return tuple(ups for ups in _all_labeled_posets(c) if len(ups) == k)
-    if k == c + 1:
-        # Only total orders have exactly c+1 up-sets; generate them directly.
-        chains = []
-        for perm in itertools.permutations(range(c)):
-            ups = [0]
-            m = 0
-            for i in range(c - 1, -1, -1):
-                m |= 1 << perm[i]
-                ups.append(m)
-            chains.append(tuple(ups))
-        return tuple(chains)
-    raise DomainError(
-        f"poset tables cover at most 5 classes (or chains); got {c} classes, {k} up-sets"
-    )
+    """The up-set tuples of the labeled posets on c elements with exactly k
+    up-sets, in table order."""
+    return tuple(ups for _, ups in _labeled_posets(c, k) if len(ups) == k)
 
 
 def _partitions_into_blocks(s: int, c: int) -> Iterator[tuple[int, ...]]:
@@ -440,10 +380,45 @@ def translate_masks(position_masks: Iterable[int], x: GroundSet) -> list[int]:
     return out
 
 
+def enumerate_topologies(
+    x: GroundSet, open_count_filter: int | None = None
+) -> Iterator[Topology]:
+    """All topologies on ``x`` (optionally only those with a given number of
+    opens), in a fixed order: lexicographic in the characteristic vector over
+    the proper non-empty subsets of ``x`` in ascending mask order, a subset
+    left out sorting before it is put in.  Every partition of ``x`` is paired
+    with every labeled poset on its blocks.  Exponential in |x|; guarded at
+    |x| <= 5 — for larger ground sets with a known open count use
+    :func:`topologies_with_open_count`.
+    """
+    s = len(x)
+    if s > ENUMERATE_GUARD:
+        raise DomainError(
+            f"enumerate_topologies is limited to ground sets of size {ENUMERATE_GUARD}; "
+            "for a fixed open count use topologies_with_open_count instead"
+        )
+    families = []
+    for c in range(1, s + 1):
+        posets = [
+            ups
+            for _, ups in _labeled_posets(c, 2**c)
+            if open_count_filter is None or len(ups) == open_count_filter
+        ]
+        for blocks in _partitions_into_blocks(s, c):
+            families.extend(tuple(_or_blocks(u, blocks) for u in ups) for ups in posets)
+    # One weight per family: bit ``top - m`` stands for subset m, so the
+    # smallest mask is the most significant digit.
+    top = (1 << s) - 1
+    families.sort(key=lambda family: sum(1 << (top - m) for m in family))
+    for family in families:
+        yield _topology_from_masks(x, translate_masks(family, x))
+
+
 def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topology]:
-    """Topologies on ``x`` with exactly ``open_count`` opens, in a fixed
-    order, without enumerating the rest.  Output-linear; guarded at
-    open_count <= 7 and |x| <= 10."""
+    """Topologies on ``x`` with exactly ``open_count`` opens, without
+    enumerating the rest, in walk order: ascending class count, partitions
+    by restricted growth string, posets in table order.  Output-linear;
+    guarded at open_count <= 7 and |x| <= 10."""
     s = len(x)
     if open_count > OPEN_COUNT_GUARD:
         raise DomainError(
@@ -543,7 +518,9 @@ def parse_topology_text(text: str) -> Topology:
     ground_no, ground_line = lines[0]
     try:
         ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
-    except (ParseError, DomainError) as exc:
+    except ParseError as exc:
+        raise exc.on_line("bad ground set", ground_no, len("ground:")) from exc
+    except DomainError as exc:
         raise ParseError(f"bad ground set: {exc}", ground_no) from exc
     opens = []
     saw_empty = False
@@ -551,7 +528,7 @@ def parse_topology_text(text: str) -> Topology:
         try:
             s = parse_set_text(ln)
         except ParseError as exc:
-            raise ParseError(f"bad open set: {exc}", lineno) from exc
+            raise exc.on_line("bad open set", lineno, 0) from exc
         saw_empty = saw_empty or not s
         opens.append(s)
     if not saw_empty:

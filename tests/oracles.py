@@ -8,7 +8,7 @@ is the last section, which keeps reference copies of code that a fast path
 replaced.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def sumset(a, b):
@@ -169,3 +169,81 @@ def find_tiasl_reference(g, bounds):
         if witness is not None:
             return witness, tuple(totals)
     return None, tuple(totals)
+
+
+def labeled_posets_reference(c):
+    """Every labeled poset on c elements, each as its tuple of up-closed
+    subsets (bit masks over the c elements, ascending), found by scanning
+    the 3^C(c,2) orientation assignments of the pairs i < j (0 incomparable,
+    1 for i < j, 2 for j < i) and keeping the transitive ones.  This was the
+    poset table for c <= 5 before the one-point extension generator."""
+    pairs = list(combinations(range(c), 2))
+    posets = []
+    for assign in product((0, 1, 2), repeat=len(pairs)):
+        above = [0] * c
+        for (i, j), a in zip(pairs, assign):
+            if a == 1:
+                above[i] |= 1 << j
+            elif a == 2:
+                above[j] |= 1 << i
+        transitive = all(
+            above[j] & ~above[i] == 0
+            for i in range(c)
+            for j in range(c)
+            if above[i] >> j & 1
+        )
+        if transitive:
+            posets.append(
+                tuple(
+                    u
+                    for u in range(1 << c)
+                    if all(above[i] & ~u == 0 for i in range(c) if u >> i & 1)
+                )
+            )
+    return tuple(posets)
+
+
+def enumerate_topologies_reference(x, open_count_filter=None):
+    """The include/exclude closure search that listed topologies before they
+    were built from partitions and posets: decides each proper non-empty
+    subset of ``x`` in ascending mask order, leaving it out first, then
+    putting it in together with everything its unions and intersections
+    with the included opens force.  Yields ``Topology`` objects."""
+    from tiasl.topology import _topology_from_masks
+
+    full = x.members.mask
+    subs = sorted(m for m in range(1, full) if m & ~full == 0)
+
+    def close(included, seed):
+        added = {seed}
+        work = [seed]
+        while work:
+            a = work.pop()
+            for b in list(included) + list(added):
+                for r in (a | b, a & b):
+                    if r and r != full and r not in included and r not in added:
+                        added.add(r)
+                        work.append(r)
+        return added
+
+    def dfs(pos, included, excluded):
+        if open_count_filter is not None and len(included) + 2 > open_count_filter:
+            return
+        if pos == len(subs):
+            if open_count_filter is None or len(included) + 2 == open_count_filter:
+                yield _topology_from_masks(x, included)
+            return
+        m = subs[pos]
+        if m in included:
+            yield from dfs(pos + 1, included, excluded)
+            return
+        excluded.add(m)
+        yield from dfs(pos + 1, included, excluded)
+        excluded.remove(m)
+        added = close(included, m)
+        if not added & excluded:
+            included |= added
+            yield from dfs(pos + 1, included, excluded)
+            included -= added
+
+    yield from dfs(0, set(), set())

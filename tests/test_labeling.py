@@ -231,6 +231,22 @@ class TestTextForms:
             parse_labeling_text("\n\nground: {0,}\n")
         assert e.value.offset == 3
 
+    def test_ground_error_names_one_line_and_a_column(self):
+        with pytest.raises(ParseError) as e:
+            parse_labeling_text("\n\nground: {0,}\n")
+        assert str(e.value).count("offset") == 1
+        assert "got '' at column 12 (offset 3)" in str(e.value)
+
+    def test_label_error_names_one_line_and_a_column(self):
+        with pytest.raises(ParseError) as e:
+            parse_labeling_text("ground: {0,1}\nv0: {0}\nv1:  {0,oops}\n")
+        assert e.value.offset == 3
+        assert str(e.value).count("offset") == 1
+        assert str(e.value) == (
+            "bad label for vertex 1: expected a non-negative integer, "
+            "got 'oops' at column 9 (offset 3)"
+        )
+
     def test_format_report_text(self):
         rep = verify_tiasl(lab(path(2), [0, 1], (0,), (0, 1)))
         text = format_report(rep)

@@ -1,5 +1,6 @@
 """Bounded exhaustive search, bijection matching, admissibility, sweep."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -31,7 +32,12 @@ from tiasl import (
     verify_tiasl,
 )
 
-from tiasl.search import _ground_candidates, _pool_size, _search_one_ground
+from tiasl.search import (
+    _ground_candidates,
+    _pool_size,
+    _search_one_ground,
+    _task_map,
+)
 
 from oracles import (
     bijection_exists,
@@ -258,6 +264,19 @@ class TestPoolSize:
             find_tiasl(path(2), threads=threads)
         with pytest.raises(DomainError):
             theorem_sweep(2, threads=threads)
+
+
+class TestTaskMap:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_results_in_task_order(self, workers):
+        assert list(_task_map(abs, [-3, 1, -2, 0], workers)) == [3, 1, 2, 0]
+
+    def test_close_after_first_result_stops_the_pool(self):
+        before = set(multiprocessing.active_children())
+        results = _task_map(abs, list(range(-50, 0)), 2)
+        assert next(results) == 50
+        results.close()
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestIndexingNumber:

@@ -1,5 +1,7 @@
 """Topology model: validity checking, enumeration, compatibility analysis."""
 
+from itertools import permutations
+
 import pytest
 
 from tiasl import (
@@ -21,9 +23,20 @@ from tiasl import (
     sierpinski_topology,
     topologies_with_open_count,
 )
-from tiasl.topology import _abstract_open_masks, _zero_open_masks, count_open_masks
+from tiasl.topology import (
+    _abstract_open_masks,
+    _labeled_posets,
+    _posets_with_up_set_count,
+    _zero_open_masks,
+    count_open_masks,
+)
 
-from oracles import all_topologies, is_topology
+from oracles import (
+    all_topologies,
+    enumerate_topologies_reference,
+    is_topology,
+    labeled_posets_reference,
+)
 
 
 def g(*elems):
@@ -228,6 +241,59 @@ class TestCountedStream:
         assert list(_zero_open_masks(s, k)) == want
 
 
+class TestPosetGenerator:
+    @pytest.mark.parametrize("c", range(6))
+    def test_matches_relation_scan(self, c):
+        """The one-point extension table equals the relation scan, order
+        included, both unpruned and pruned at every up-set count."""
+        scan = labeled_posets_reference(c)
+        assert tuple(ups for _, ups in _labeled_posets(c, 2**c)) == scan
+        for k in range(1, 2**c + 2):
+            assert _posets_with_up_set_count(c, k) == tuple(
+                ups for ups in scan if len(ups) == k
+            )
+
+    def test_table_sizes(self):
+        """Labeled posets on c = 1..5 points (OEIS A001035)."""
+        sizes = [len(_labeled_posets(c, 2**c)) for c in range(1, 6)]
+        assert sizes == [1, 3, 19, 219, 4231]
+
+    def test_six_class_chains(self):
+        """On 6 classes only the total orders have 7 up-sets."""
+        chains = set()
+        for perm in permutations(range(6)):
+            ups, m = [0], 0
+            for i in reversed(perm):
+                m |= 1 << i
+                ups.append(m)
+            chains.add(tuple(sorted(ups)))
+        table = _posets_with_up_set_count(6, 7)
+        assert len(table) == 720 and set(table) == chains
+
+    def test_guard(self):
+        """Tables are built for at most 7 up-sets or at most 5 classes."""
+        for s in (6, 7):
+            with pytest.raises(DomainError, match="6 classes.*bound of 8"):
+                count_open_masks(s, 8)
+        assert count_open_masks(5, 32) == 1
+        assert count_open_masks(10, 7) == 28483110
+
+
+class TestEnumerationOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_closure_search(self, n):
+        ground = GroundSet.from_elements(range(n))
+        for k in [None, *range(2**n + 2)]:
+            got = [str(t) for t in enumerate_topologies(ground, k)]
+            want = [str(t) for t in enumerate_topologies_reference(ground, k)]
+            assert got == want, k
+
+    def test_matches_closure_search_gapped_five(self):
+        ground = g(0, 2, 3, 7, 9)
+        got = [str(t) for t in enumerate_topologies(ground)]
+        assert got == [str(t) for t in enumerate_topologies_reference(ground)]
+
+
 class TestCompatibility:
     def test_indiscrete_no_edges(self):
         cg = compatibility_graph(indiscrete_topology(g(0, 1)))
@@ -311,6 +377,20 @@ class TestTopologyText:
         with pytest.raises(ParseError) as e:
             parse_topology_text("ground: {0,1}\n\n{0}\n\n{0,1}\n")
         assert e.value.offset == 5
+
+    def test_parse_open_set_error_names_one_line_and_a_column(self):
+        with pytest.raises(ParseError) as e:
+            parse_topology_text("ground: {0,1}\n\n{}\n\n{0,oops}\n")
+        assert e.value.offset == 5
+        assert str(e.value).count("offset") == 1
+        assert "got 'oops' at column 4 (offset 5)" in str(e.value)
+
+    def test_parse_ground_error_names_one_line_and_a_column(self):
+        with pytest.raises(ParseError) as e:
+            parse_topology_text("\nground: {0,x}\n{}\n")
+        assert e.value.offset == 2
+        assert str(e.value).count("offset") == 1
+        assert "got 'x' at column 12 (offset 2)" in str(e.value)
 
     def test_parse_requires_empty_set_line(self):
         with pytest.raises(ParseError, match="empty set"):

@@ -16,3 +16,20 @@ def test_every_trace_target_resolves():
     for module_name, attr, _name, _kind in tracing.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), (module_name, attr)
+
+
+def test_poset_tables_are_looked_up_through_module_globals(monkeypatch):
+    """``topology.poset_table`` wraps ``_posets_with_up_set_count`` by
+    patching the module attribute, so the walk must call it by that name."""
+    from tiasl import topology
+
+    calls = []
+    original = topology._posets_with_up_set_count
+
+    def wrapper(c, k):
+        calls.append((c, k))
+        return original(c, k)
+
+    monkeypatch.setattr(topology, "_posets_with_up_set_count", wrapper)
+    assert sum(1 for _ in topology._abstract_open_masks(3, 4)) == 9
+    assert calls == [(2, 4), (3, 4)]
