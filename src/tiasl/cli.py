@@ -106,17 +106,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     family = args.family
+    if family in ("pan", "tadpole", "shovel") and args.n is None:
+        raise DomainError(f"--family {family} requires -n")
     if family == "pan":
-        if args.n is None:
-            raise DomainError("--family pan requires -n")
         lab = label_pan(args.n, args.ground_max)
     elif family == "tadpole":
-        if args.n is None:
-            raise DomainError("--family tadpole requires -n")
         lab = label_tadpole(args.n, args.m, args.ground_max)
     elif family == "shovel":
-        if args.n is None:
-            raise DomainError("--family shovel requires -n")
         lab = label_shovel(args.n, args.m, args.ground_max)
     elif family == "star-discrete":
         if args.k is None:

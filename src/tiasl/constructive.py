@@ -7,9 +7,9 @@ returning, so a successful return is itself a checked certificate.
 from __future__ import annotations
 
 from .graph import Graph, complete, pan, pendant_vertices, shovel, star, tadpole
-from .intset import DomainError, GroundSet, IntSet, canonical_key
+from .intset import DomainError, GroundSet, IntSet
 from .labeling import SetLabeling, verify_tiasl
-from .topology import Topology
+from .topology import Topology, discrete_topology
 
 
 def _interval(top: int) -> IntSet:
@@ -58,70 +58,54 @@ def saturate_realization(l: SetLabeling) -> SetLabeling:
     return _checked(SetLabeling(g, l.ground, l.vertex_labels))
 
 
-def label_pan(n: int, ground_max: int | None = None) -> SetLabeling:
-    """TIASL of the pan (cycle on n >= 3 plus one pendant): cycle vertex i
-    carries {0..i} and the pendant carries X = {0..ground_max}, which needs
-    ground_max >= 2n-3."""
-    if n < 3:
-        raise DomainError(f"pan needs a cycle on at least three vertices, got {n}")
-    least = 2 * n - 3
-    if ground_max is None:
-        ground_max = least
-    if ground_max < least:
-        raise DomainError(
-            f"pan on {n} cycle vertices needs ground_max >= {least}, got {ground_max}"
-        )
-    x = GroundSet(_interval(ground_max))
-    labels = [_interval(i) for i in range(n)]
-    labels.append(x.members)
-    return _checked(SetLabeling(pan(n), x, tuple(labels)))
-
-
-def label_tadpole(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
-    """TIASL of the tadpole (cycle on n >= 3, handle of m >= 1 vertices at
-    vertex 0): the junction carries {0..m-1}, cycle vertex j carries
-    {0..m+j-1}, handle vertex n+k carries {0..m-2-k}, and the pendant end
-    carries X = {0..ground_max} with ground_max >= 2(m+n)-5."""
-    if n < 3:
-        raise DomainError(f"tadpole needs a cycle on at least three vertices, got {n}")
-    if m < 1:
-        raise DomainError(f"tadpole needs a handle of at least one vertex, got {m}")
+def _label_handle(
+    g: Graph, n: int, m: int, ground_max: int | None, name: str
+) -> SetLabeling:
+    """The labeling of :func:`label_tadpole` on any base graph ``g`` of n
+    vertices followed by an m-vertex handle at vertex 0; ``name`` opens the
+    message for a too-small ``ground_max``."""
     least = 2 * (m + n) - 5
     if ground_max is None:
         ground_max = least
     if ground_max < least:
-        raise DomainError(
-            f"tadpole({n},{m}) needs ground_max >= {least}, got {ground_max}"
-        )
-    x = GroundSet(_interval(ground_max))
-    labels = [_interval(m - 1)]
-    labels.extend(_interval(m + j - 1) for j in range(1, n))
-    labels.extend(_interval(m - 2 - k) for k in range(m - 1))
-    labels.append(x.members)
-    return _checked(SetLabeling(tadpole(n, m), x, tuple(labels)))
-
-
-def label_shovel(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
-    """TIASL of the shovel (complete graph on n >= 3, handle of m >= 1
-    vertices at vertex 0): clique vertex j carries {0..m+j-1}, handle vertex
-    n+k carries {0..m-2-k}, the pendant end carries X = {0..ground_max} with
-    ground_max >= 2(m+n)-5 (the worst clique edge reaches exactly that)."""
-    if n < 3:
-        raise DomainError(f"shovel needs a clique on at least three vertices, got {n}")
-    if m < 1:
-        raise DomainError(f"shovel needs a handle of at least one vertex, got {m}")
-    least = 2 * (m + n) - 5
-    if ground_max is None:
-        ground_max = least
-    if ground_max < least:
-        raise DomainError(
-            f"shovel({n},{m}) needs ground_max >= {least}, got {ground_max}"
-        )
+        raise DomainError(f"{name} needs ground_max >= {least}, got {ground_max}")
     x = GroundSet(_interval(ground_max))
     labels = [_interval(m + j - 1) for j in range(n)]
     labels.extend(_interval(m - 2 - k) for k in range(m - 1))
     labels.append(x.members)
-    return _checked(SetLabeling(shovel(n, m), x, tuple(labels)))
+    return _checked(SetLabeling(g, x, tuple(labels)))
+
+
+def label_pan(n: int, ground_max: int | None = None) -> SetLabeling:
+    """TIASL of the pan (cycle on n >= 3 plus one pendant): the tadpole
+    labeling with m = 1, so cycle vertex i carries {0..i} and the pendant
+    carries X = {0..ground_max} with ground_max >= 2n-3."""
+    if n < 3:
+        raise DomainError(f"pan needs a cycle on at least three vertices, got {n}")
+    return _label_handle(pan(n), n, 1, ground_max, f"pan on {n} cycle vertices")
+
+
+def label_tadpole(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
+    """TIASL of the tadpole (cycle on n >= 3, handle of m >= 1 vertices at
+    vertex 0): cycle vertex j carries {0..m+j-1}, handle vertex n+k carries
+    {0..m-2-k}, and the pendant end carries X = {0..ground_max}, which needs
+    ground_max >= 2(m+n)-5."""
+    if n < 3:
+        raise DomainError(f"tadpole needs a cycle on at least three vertices, got {n}")
+    if m < 1:
+        raise DomainError(f"tadpole needs a handle of at least one vertex, got {m}")
+    return _label_handle(tadpole(n, m), n, m, ground_max, f"tadpole({n},{m})")
+
+
+def label_shovel(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
+    """TIASL of the shovel (complete graph on n >= 3, handle of m >= 1
+    vertices at vertex 0): the tadpole's labels on a clique instead of a
+    cycle; the worst clique edge reaches exactly 2(m+n)-5."""
+    if n < 3:
+        raise DomainError(f"shovel needs a clique on at least three vertices, got {n}")
+    if m < 1:
+        raise DomainError(f"shovel needs a handle of at least one vertex, got {m}")
+    return _label_handle(shovel(n, m), n, m, ground_max, f"shovel({n},{m})")
 
 
 def label_any_pendant(g: Graph) -> SetLabeling:
@@ -153,20 +137,12 @@ def label_any_pendant(g: Graph) -> SetLabeling:
 
 def label_star_discrete(k: int) -> SetLabeling:
     """TIASL of the star K_{1,2^k-2} carrying the discrete topology on
-    {0..k-1}: the center takes {0}, the leaves take the other non-empty
-    subsets.  For k = 1 the star degenerates to a single vertex."""
+    {0..k-1}: its star realization, with the center on {0} and the leaves on
+    the other non-empty subsets.  For k = 1 the star degenerates to a single
+    vertex."""
     if k < 1:
         raise DomainError(f"discrete ground set needs k >= 1 elements, got {k}")
     x = GroundSet(_interval(k - 1))
     if k == 1:
         return _checked(SetLabeling(complete(1), x, (IntSet((0,)),)))
-    full = x.members.mask
-    subsets = []
-    m = full
-    while m:
-        if m != 1:
-            subsets.append(IntSet.from_mask(m))
-        m = (m - 1) & full
-    subsets.sort(key=canonical_key)
-    g = star(len(subsets))
-    return _checked(SetLabeling(g, x, (IntSet((0,)), *subsets)))
+    return realize_topology_star(discrete_topology(x))

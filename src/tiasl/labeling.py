@@ -17,6 +17,7 @@ entry points differ only in how far the reported violation list reaches, so
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -92,19 +93,19 @@ class VerificationReport:
     topology_is_discrete: bool
 
 
-def _duplicate_pairs(labels: tuple[IntSet, ...]) -> list[tuple[int, int]]:
+def _equal_pairs(masks: list[int]) -> list[tuple[int, int]]:
+    """Sorted index pairs i < j with masks[i] == masks[j]."""
     by_mask: dict[int, list[int]] = {}
-    for v, s in enumerate(labels):
-        by_mask.setdefault(s.mask, []).append(v)
-    pairs = []
-    for verts in by_mask.values():
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                pairs.append((verts[i], verts[j]))
-    return sorted(pairs)
+    for i, m in enumerate(masks):
+        by_mask.setdefault(m, []).append(i)
+    return sorted(
+        pair for idx in by_mask.values() for pair in itertools.combinations(idx, 2)
+    )
 
 
-def _verify(l: SetLabeling) -> VerificationReport:
+def _verify(l: SetLabeling, stages: int = 3) -> VerificationReport:
+    """One pass over all three stages; the report lists the violations of the
+    first ``stages`` of them (IASL, topology, edge injectivity)."""
     g, x, labels = l.graph, l.ground, l.vertex_labels
 
     iasl: list[Violation] = []
@@ -113,7 +114,7 @@ def _verify(l: SetLabeling) -> VerificationReport:
             iasl.append(Violation("empty-label", (v,)))
         elif not is_subset(s, x):
             iasl.append(Violation("label-outside-ground", (v, s)))
-    for u, v in _duplicate_pairs(labels):
+    for u, v in _equal_pairs([s.mask for s in labels]):
         iasl.append(Violation("injectivity", (u, v)))
 
     edge_labels: dict[tuple[int, int], IntSet] = {}
@@ -128,12 +129,11 @@ def _verify(l: SetLabeling) -> VerificationReport:
     family.add(0)
     topo = check_topology([IntSet.from_mask(m) for m in sorted(family)], x)
 
-    edge_inj: list[Violation] = []
-    edges_sorted = sorted(edge_labels)
-    for i, e1 in enumerate(edges_sorted):
-        for e2 in edges_sorted[i + 1 :]:
-            if edge_labels[e1] == edge_labels[e2]:
-                edge_inj.append(Violation("edge-injectivity", (e1, e2)))
+    edges = list(edge_labels)
+    edge_inj = [
+        Violation("edge-injectivity", (edges[i], edges[j]))
+        for i, j in _equal_pairs([s.mask for s in edge_labels.values()])
+    ]
 
     is_iasl = not iasl
     is_tiasl = is_iasl and topo.ok
@@ -158,7 +158,9 @@ def _verify(l: SetLabeling) -> VerificationReport:
         is_iasl=is_iasl,
         is_tiasl=is_tiasl,
         is_tiasi=is_tiasi,
-        violations=tuple(iasl) + topo.violations + tuple(edge_inj),
+        violations=tuple(
+            itertools.chain(*(iasl, topo.violations, edge_inj)[:stages])
+        ),
         warnings=warnings,
         vertex_label_sizes=sizes,
         edge_label_sizes=esizes,
@@ -185,42 +187,19 @@ def _assert_max_element_facts(l: SetLabeling) -> None:
             )
 
 
-def _staged(report: VerificationReport, kinds_for_stage: frozenset[str]) -> VerificationReport:
-    from dataclasses import replace
-
-    kept = tuple(v for v in report.violations if v.kind in kinds_for_stage)
-    return replace(report, violations=kept)
-
-
-_IASL_KINDS = frozenset(
-    {"empty-label", "label-outside-ground", "injectivity", "edge-sumset-outside-ground"}
-)
-_TOPOLOGY_KINDS = _IASL_KINDS | frozenset(
-    {
-        "missing-empty",
-        "missing-ground",
-        "open-not-subset",
-        "union-not-open",
-        "intersection-not-open",
-        "duplicate-open",
-    }
-)
-_TIASI_KINDS = _TOPOLOGY_KINDS | frozenset({"edge-injectivity"})
-
-
 def verify_iasl(l: SetLabeling) -> VerificationReport:
     """Report with violations limited to the IASL stage."""
-    return _staged(_verify(l), _IASL_KINDS)
+    return _verify(l, 1)
 
 
 def verify_tiasl(l: SetLabeling) -> VerificationReport:
     """Report with violations through the topology stage."""
-    return _staged(_verify(l), _TOPOLOGY_KINDS)
+    return _verify(l, 2)
 
 
 def verify_tiasi(l: SetLabeling) -> VerificationReport:
     """Report with the full violation list including edge injectivity."""
-    return _staged(_verify(l), _TIASI_KINDS)
+    return _verify(l, 3)
 
 
 def restriction_check(l: SetLabeling, v: int) -> TopologyCheck:

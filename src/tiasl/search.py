@@ -15,8 +15,8 @@ are consumed in the serial order.
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from bisect import bisect_left
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +39,10 @@ from .topology import (
     format_topology,
     translate_masks,
 )
+
+#: Most ground sets one search window may hold (the default window at order
+#: 6 holds 512); the candidate list of a window is built whole.
+GROUND_SETS_GUARD = 2**16
 
 __all__ = [
     "SearchBounds",
@@ -136,9 +140,9 @@ def bijection_match(g: Graph, t: Topology, *, _nodes: list[int] | None = None) -
     by descending degree (ties by index), opens tried in canonical order — such
     that every edge's sumset stays in the ground set, or None.  Requires
     exactly g.order non-empty opens.  Prunes by degree: a vertex of degree d
-    can only take an open compatible with at least d others, and whenever more
-    vertices demand degree >= d than there are opens offering it, no bijection
-    exists (candidate sets are nested by threshold, so counting is exact)."""
+    can only take an open compatible with at least d others, so no bijection
+    exists unless the vertex degrees, sorted descending, are position by
+    position at most the opens' compatibility degrees sorted descending."""
     n = g.order
     opens = t.nonempty_opens
     if len(opens) != n:
@@ -155,12 +159,9 @@ def bijection_match(g: Graph, t: Topology, *, _nodes: list[int] | None = None) -
             compat[i][j] = compat[j][i] = ok
     cdeg = [sum(row) for row in compat]
     degs = g.degrees()
-    cdeg_sorted = sorted(cdeg)
-    for d in set(degs):
-        need = sum(1 for x in degs if x >= d)
-        have = n - bisect_left(cdeg_sorted, d)
-        if have < need:
-            return None
+    demand = zip(sorted(degs, reverse=True), sorted(cdeg, reverse=True))
+    if any(d > c for d, c in demand):
+        return None
     adj = g.adjacency()
     order = sorted(range(n), key=lambda v: (-degs[v], v))
     assignment = [-1] * n
@@ -193,19 +194,22 @@ def bijection_match(g: Graph, t: Topology, *, _nodes: list[int] | None = None) -
 
 def _ground_candidates(bounds: SearchBounds) -> list[tuple[int, ...]]:
     """Candidate ground sets as sorted element tuples, ordered by size then
-    lexicographically."""
-    out: list[tuple[int, ...]] = []
+    lexicographically.  The window is counted before any tuple is built, and
+    one of more than GROUND_SETS_GUARD ground sets is refused."""
     top = bounds.max_element
-    for size in range(1, bounds.max_ground_size + 1):
-        if bounds.require_zero:
-            if top < 0:
-                break
-            for rest in itertools.combinations(range(1, top + 1), size - 1):
-                out.append((0, *rest))
-        else:
-            for elems in itertools.combinations(range(top + 1), size):
-                out.append(elems)
-    return out
+    fixed = (0,) if bounds.require_zero else ()
+    pool = range(len(fixed), top + 1)
+    sizes = range(1, min(bounds.max_ground_size, top + 1) + 1)
+    count = sum(math.comb(len(pool), size - len(fixed)) for size in sizes)
+    if count > GROUND_SETS_GUARD:
+        raise DomainError(
+            f"search window holds {count} ground sets, more than {GROUND_SETS_GUARD}"
+        )
+    return [
+        fixed + rest
+        for size in sizes
+        for rest in itertools.combinations(pool, size - len(fixed))
+    ]
 
 
 def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, int]):
@@ -359,7 +363,7 @@ class SweepEntry:
     order: int
     size: int
     pendants: int
-    disposition: str  # "constructed" | "exhausted" | "found" | "construction-failed"
+    disposition: str  # "constructed" | "exhausted" | "found"
     consistent: bool
     note: str = ""
 
@@ -380,22 +384,16 @@ class SweepReport:
 
 def _sweep_one(args: tuple[Graph, int | None, int | None]) -> SweepEntry:
     """Check one graph against the pendant characterization: pendant graphs
-    must accept the explicit construction; pendant-free graphs must exhaust
-    an unpruned search over elements up to 2n-3 (or the given overrides)."""
+    get the explicit construction, which raises unless it verifies;
+    pendant-free graphs must exhaust an unpruned search over elements up to
+    2n-3 (or the given overrides)."""
     g, max_element, max_ground_size = args
     g6 = emit_graph6(g)
     pendants = len(pendant_vertices(g))
     if pendants:
-        lab = label_any_pendant(g)
-        ok = verify_tiasl(lab).is_tiasl
+        lab = label_any_pendant(g)  # verified, or raises
         return SweepEntry(
-            g6,
-            g.order,
-            g.size,
-            pendants,
-            "constructed" if ok else "construction-failed",
-            ok,
-            f"ground {lab.ground}" if ok else "",
+            g6, g.order, g.size, pendants, "constructed", True, f"ground {lab.ground}"
         )
     n = g.order
     me = max_element if max_element is not None else 2 * n - 3
@@ -411,7 +409,7 @@ def _sweep_one(args: tuple[Graph, int | None, int | None]) -> SweepEntry:
         f"ground_sets={outcome.certificate.ground_sets_tried} "
         f"topologies={outcome.certificate.topologies_tried}"
     )
-    if not _ground_candidates(bounds):
+    if outcome.certificate.ground_sets_tried == 0:
         note += " (empty search window)"
     return SweepEntry(g6, g.order, g.size, 0, "exhausted", True, note)
 
@@ -426,7 +424,7 @@ def theorem_sweep(
     """Exercise the pendant characterization over every connected graph of
     order 1..max_n (max_n <= 6): each entry records whether the graph was
     labeled by the explicit construction or exhausted by the unpruned search.
-    Any other disposition is an inconsistency."""
+    Any other disposition is an inconsistency; a failed construction raises."""
     if not 1 <= max_n <= OPEN_COUNT_GUARD - 1:
         raise DomainError(
             f"sweep covers orders 1..{OPEN_COUNT_GUARD - 1}, got {max_n}"

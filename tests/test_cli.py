@@ -195,6 +195,17 @@ class TestSearch:
         assert main(["search", c4_file]) == 1
         assert "pruned-by-theorem" in capsys.readouterr().out
 
+    def test_oversized_window_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "p3.edges"
+        f.write_text(format_edge_list(path(3)))
+        argv = ["search", str(f), "--max-element", "60", "--max-ground-size", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: search window holds 17784019483 ground sets, more than 65536\n"
+        )
+
     def test_exhausted_exit_1(self, c4_file, capsys):
         assert (
             main(

@@ -21,6 +21,7 @@ from tiasl import (
     path,
     realize_topology_star,
     saturate_realization,
+    shovel,
     sierpinski_topology,
     verify_tiasl,
 )
@@ -104,6 +105,29 @@ class TestFamilyLabelings:
             label_tadpole(3, 0)
         with pytest.raises(DomainError):
             label_shovel(2, 1)
+
+
+class TestSharedHandleLabeling:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_pan_is_the_tadpole_with_one_handle_vertex(self, n):
+        for ground_max in (None, 2 * n - 3, 2 * n + 2):
+            assert label_pan(n, ground_max) == label_tadpole(n, 1, ground_max)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 3), (4, 2), (5, 1), (6, 4)])
+    def test_shovel_carries_the_tadpole_labels_on_a_clique(self, n, m):
+        s, t = label_shovel(n, m), label_tadpole(n, m)
+        assert s.vertex_labels == t.vertex_labels and s.ground == t.ground
+        assert s.graph == shovel(n, m)
+
+    def test_too_small_ground_names_the_family(self):
+        for call, message in [
+            (lambda: label_pan(4, 4), "pan on 4 cycle vertices needs ground_max >= 5, got 4"),
+            (lambda: label_tadpole(4, 2, 6), "tadpole(4,2) needs ground_max >= 7, got 6"),
+            (lambda: label_shovel(3, 2, 0), "shovel(3,2) needs ground_max >= 5, got 0"),
+        ]:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestPendantGeneric:
@@ -247,3 +271,8 @@ class TestStarDiscrete:
     def test_precondition(self):
         with pytest.raises(DomainError):
             label_star_discrete(0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_is_the_star_realization_of_the_discrete_topology(self, k):
+        x = GroundSet(IntSet(range(k)))
+        assert label_star_discrete(k) == realize_topology_star(discrete_topology(x))

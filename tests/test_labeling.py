@@ -172,6 +172,63 @@ class TestOracleAgreement:
         assert checked == 300
 
 
+#: The violation kinds each verifier stage adds, pinned here so that the
+#: staged reports are checked against the kind filter they replace.
+STAGE_KINDS = (
+    {"empty-label", "label-outside-ground", "injectivity", "edge-sumset-outside-ground"},
+    {
+        "missing-empty",
+        "missing-ground",
+        "open-not-subset",
+        "union-not-open",
+        "intersection-not-open",
+        "duplicate-open",
+    },
+    {"edge-injectivity"},
+)
+
+
+class TestStages:
+    def test_each_stage_extends_the_previous_one_by_its_own_kinds(self):
+        rng = random.Random(20261018)
+        seen = [set(), set(), set()]
+        for _ in range(400):
+            n, edges, ground_elems, labels = random_labeling(rng)
+            if rng.random() < 0.2:
+                labels[rng.randrange(n)] = (ground_elems[-1] + 1,)
+            l = lab(Graph.from_edges(n, edges), ground_elems, *labels)
+            reports = (verify_iasl(l), verify_tiasl(l), verify_tiasi(l))
+            full = reports[-1].violations
+            prefix = 0
+            for stage, rep in enumerate(reports):
+                kinds = set().union(*STAGE_KINDS[: stage + 1])
+                assert rep.violations == tuple(v for v in full if v.kind in kinds)
+                assert rep.violations[:prefix] == reports[stage - 1].violations[:prefix]
+                added = {v.kind for v in rep.violations[prefix:]}
+                assert added <= STAGE_KINDS[stage]
+                seen[stage] |= added
+                prefix = len(rep.violations)
+                assert rep.is_iasl == (not reports[0].violations)
+                assert rep.is_tiasi == (not full)
+        assert all(seen), seen
+
+    def test_edge_injectivity_pairs_in_edge_order(self):
+        """Two groups of edges with equal sumsets, interleaved in edge order:
+        pairs come out sorted by (first edge, second edge), not by group."""
+        g = Graph.from_edges(6, [(0, 1), (0, 5), (2, 3), (2, 4), (4, 5)])
+        l = lab(g, range(5), (0,), (0, 1, 2, 3, 4), (0, 2), (0, 1, 2), (0, 1), (0, 1, 2, 3))
+        edge_labels = induced_edge_labels(l)
+        assert len({edge_labels[e] for e in [(0, 1), (2, 3), (4, 5)]}) == 1
+        assert edge_labels[(0, 5)] == edge_labels[(2, 4)]
+        pairs = [v.witness for v in verify_tiasi(l).violations if v.kind == "edge-injectivity"]
+        assert pairs == [
+            ((0, 1), (2, 3)),
+            ((0, 1), (4, 5)),
+            ((0, 5), (2, 4)),
+            ((2, 3), (4, 5)),
+        ]
+
+
 class TestRestriction:
     def test_pendant_restriction_still_topology(self):
         from tiasl import label_pan

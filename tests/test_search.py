@@ -32,6 +32,8 @@ from tiasl import (
     verify_tiasl,
 )
 
+from tiasl import search
+from tiasl.intset import sumset_mask
 from tiasl.search import (
     _ground_candidates,
     _pool_size,
@@ -112,6 +114,33 @@ class TestBijectionMatch:
                 if lab is not None:
                     assert verify_tiasl(lab).is_tiasl
 
+    def test_degree_reject_is_the_threshold_count(self):
+        """The sorted-dominance reject fires exactly when some degree
+        threshold d has more vertices of degree >= d than opens compatible
+        with >= d others, and it fires before any node is counted."""
+        rejected = 0
+        for g in connected_graph_catalog(5):
+            degs = g.degrees()
+            for gr in (ground(0), ground(0, 1), ground(0, 1, 2), ground(0, 1, 2, 3)):
+                full = gr.members.mask
+                for t in enumerate_topologies(gr, g.order + 1):
+                    masks = [o.mask for o in t.nonempty_opens]
+                    cdeg = [
+                        sum(1 for j, b in enumerate(masks)
+                            if j != i and sumset_mask(a, b) & ~full == 0)
+                        for i, a in enumerate(masks)
+                    ]
+                    want = any(
+                        sum(c >= d for c in cdeg) < sum(e >= d for e in degs)
+                        for d in degs
+                    )
+                    nodes = [0]
+                    lab = bijection_match(g, t, _nodes=nodes)
+                    if want:
+                        rejected += 1
+                        assert lab is None and nodes == [0], (g, t)
+        assert rejected > 0
+
     def test_counting_prune_rejects_fast(self):
         """Center + eight pendants + a 6-clique passes the order and pendant
         counts for the discrete topology on four points, but only three opens
@@ -180,6 +209,25 @@ class TestFindTiasl:
     def test_window_guard(self):
         with pytest.raises(DomainError):
             find_tiasl(path(3), SearchBounds(12, 11))
+
+    def test_ground_set_count_guard_builds_nothing(self, monkeypatch):
+        """A window of 17,784,019,483 ground sets passes the size guard
+        (|X| <= 10) and is refused by its count before any tuple is built."""
+
+        def no_combinations(*args):
+            raise AssertionError("candidate list built")
+
+        monkeypatch.setattr(search.itertools, "combinations", no_combinations)
+        with pytest.raises(DomainError, match="17784019483 ground sets"):
+            find_tiasl(path(3), SearchBounds(60, 10))
+        with pytest.raises(DomainError, match=f"more than {search.GROUND_SETS_GUARD}"):
+            _ground_candidates(SearchBounds(60, 10, require_zero=False))
+
+    def test_ground_set_count_guard_boundary(self):
+        """{0} plus any subset of {1..16} is exactly 2**16 ground sets."""
+        assert len(_ground_candidates(SearchBounds(16, 17))) == search.GROUND_SETS_GUARD
+        with pytest.raises(DomainError):
+            _ground_candidates(SearchBounds(17, 17))
 
     def test_deterministic_and_thread_invariant(self):
         for g in (pan(3), path(4)):
@@ -370,6 +418,18 @@ class TestTheoremSweep:
         assert report.inconsistencies == ()
         dispositions = {e.disposition for e in report.entries}
         assert dispositions == {"constructed", "exhausted"}
+
+    def test_sweep_verifies_each_construction_once(self, monkeypatch):
+        """Constructions come verified, and no order-5 pendant-free graph has
+        a witness to verify, so the sweep never calls the search's verifier."""
+
+        def no_verify(l):
+            raise AssertionError("search verifier called")
+
+        monkeypatch.setattr(search, "verify_tiasl", no_verify)
+        report = theorem_sweep(5)
+        assert report.inconsistencies == ()
+        assert report.graphs_processed == 31
 
     def test_sweep_thread_invariant(self):
         assert theorem_sweep(4, threads=2) == theorem_sweep(4)
