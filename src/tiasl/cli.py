@@ -42,7 +42,6 @@ from .labeling import (
 )
 from .search import (
     default_bounds,
-    find_tiasl,
     format_search_outcome,
     format_sweep_report,
     outcome_to_dict,
@@ -153,20 +152,14 @@ def _cmd_search(args) -> int:
         bounds = replace(bounds, max_element=args.max_element)
     if args.max_ground_size is not None:
         bounds = replace(bounds, max_ground_size=args.max_ground_size)
+    value, outcome = topological_set_indexing_number(
+        g, bounds, pendant_prune=not args.no_prune, threads=args.threads
+    )
+    text = format_search_outcome(outcome)
+    payload = outcome_to_dict(outcome)
     if args.tsin:
-        value, outcome = topological_set_indexing_number(
-            g, bounds, pendant_prune=not args.no_prune, threads=args.threads
-        )
-        text = format_search_outcome(outcome)
         text += f"tsin: {'-' if value is None else value}\n"
-        payload = outcome_to_dict(outcome)
         payload["tsin"] = value
-    else:
-        outcome = find_tiasl(
-            g, bounds, pendant_prune=not args.no_prune, threads=args.threads
-        )
-        text = format_search_outcome(outcome)
-        payload = outcome_to_dict(outcome)
     _emit(args, payload, text)
     return 0 if outcome.found else 1
 
@@ -175,10 +168,8 @@ def _cmd_topologies(args) -> int:
     x = GroundSet(parse_set_text(args.ground))
     if args.opens is not None and len(x) > ENUMERATE_GUARD:
         gen = topologies_with_open_count(x, args.opens)
-    elif args.opens is not None:
-        gen = enumerate_topologies(x, args.opens)
     else:
-        gen = enumerate_topologies(x)
+        gen = enumerate_topologies(x, args.opens)
     if args.list:
         rows = [[format_set(o) for o in t.opens] for t in gen]
         text = "\n".join(" ".join(row) for row in rows)

@@ -255,7 +255,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("empty edge list", 1)
     head_no, head_line = lines[0]
     head = head_line.split()
-    if len(head) != 2 or not all(w.isdigit() for w in head):
+    if len(head) != 2 or not all(w.isdecimal() for w in head):
         raise ParseError("first line must be 'n m' with two non-negative integers", head_no)
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
@@ -263,7 +263,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = set()
     for lineno, ln in lines[1:]:
         words = ln.split()
-        if len(words) != 2 or not all(w.isdigit() for w in words):
+        if len(words) != 2 or not all(w.isdecimal() for w in words):
             raise ParseError("edge line must be 'u v' with two non-negative integers", lineno)
         u, v = int(words[0]), int(words[1])
         if u == v:

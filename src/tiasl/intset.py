@@ -250,9 +250,11 @@ def parse_set_text(text: str) -> IntSet:
     for item in body.split(","):
         lead = len(item) - len(item.lstrip())
         word = item.strip()
-        if not word.isdigit():
+        if not word.isdecimal():
             raise ParseError(f"expected a non-negative integer, got {word!r}", pos + lead)
         e = int(word)
+        if e > UNIVERSE_LIMIT:
+            raise ParseError(f"element {e} exceeds the universe limit {UNIVERSE_LIMIT}", pos + lead)
         if mask >> e & 1:
             raise ParseError(f"duplicate element {e}", pos + lead)
         mask |= 1 << e

@@ -255,7 +255,7 @@ def parse_labeling_text(text: str) -> tuple[GroundSet, dict[int, IntSet]]:
     for lineno, ln in lines[1:]:
         head, sep, body = ln.partition(":")
         head = head.strip()
-        if not sep or not head.startswith("v") or not head[1:].isdigit():
+        if not sep or not head.startswith("v") or not head[1:].isdecimal():
             raise ParseError("expected 'v<index>: {…}'", lineno)
         v = int(head[1:])
         if v in labels:

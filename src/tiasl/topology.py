@@ -93,8 +93,7 @@ class Topology:
                 f"not a topology of {ground}: {first}"
                 + (f" (+{len(check.violations) - 1} more)" if len(check.violations) > 1 else "")
             )
-        opens = sorted({s.mask for s in family} | {0}, key=lambda m: canonical_key(IntSet.from_mask(m)))
-        return cls(ground, tuple(IntSet.from_mask(m) for m in opens))
+        return _topology_from_masks(ground, (s.mask for s in family))
 
     @property
     def open_count(self) -> int:
@@ -214,19 +213,15 @@ def _labeled_posets(
     every element of U.  The old up-sets missing D stay up-sets, and W with
     the new element added is one whenever U ⊆ W.  No old up-set is lost, so
     a poset with more than ``bound`` up-sets only has extensions with more,
-    and is pruned at every level.  The table is sorted by relation vector:
-    over the pairs i < j in ``itertools.combinations`` order, 0 when i and
-    j are incomparable, 1 when i < j and 2 when j < i."""
-    if bound > OPEN_COUNT_GUARD and c > ENUMERATE_GUARD:
-        raise DomainError(
-            f"poset tables on {c} classes cover at most {OPEN_COUNT_GUARD} "
-            f"up-sets, got a bound of {bound}"
-        )
+    and is pruned at every level; c-1 elements have at most 2^(c-1) up-sets,
+    so a larger bound reads the complete table there.  The table is sorted
+    by relation vector: over the pairs i < j in ``itertools.combinations``
+    order, 0 when i and j are incomparable, 1 when i < j and 2 when j < i."""
     if c == 0:
         return (((), (0,)),)
     new = 1 << (c - 1)
     table = []
-    for above, ups in _labeled_posets(c - 1, bound):
+    for above, ups in _labeled_posets(c - 1, min(bound, new)):
         for v in ups:  # D is the complement of the up-set v
             down = (new - 1) & ~v
             allowed = v
@@ -255,8 +250,19 @@ def _labeled_posets(
 @lru_cache(maxsize=None)
 def _posets_with_up_set_count(c: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The up-set tuples of the labeled posets on c elements with exactly k
-    up-sets, in table order."""
-    return tuple(ups for _, ups in _labeled_posets(c, k) if len(ups) == k)
+    up-sets, in table order.  The one place a table is chosen or refused: the
+    table pruned at OPEN_COUNT_GUARD up-sets, else the complete one, built on
+    at most ENUMERATE_GUARD elements; two tables per element count at most."""
+    if k <= OPEN_COUNT_GUARD:
+        bound = min(OPEN_COUNT_GUARD, 2**c)
+    elif c <= ENUMERATE_GUARD:
+        bound = 2**c
+    else:
+        raise DomainError(
+            f"poset tables on {c} classes cover at most {OPEN_COUNT_GUARD} "
+            f"up-sets, got a bound of {k}"
+        )
+    return tuple(ups for _, ups in _labeled_posets(c, bound) if len(ups) == k)
 
 
 def _partitions_into_blocks(s: int, c: int) -> Iterator[tuple[int, ...]]:
@@ -386,10 +392,10 @@ def enumerate_topologies(
     """All topologies on ``x`` (optionally only those with a given number of
     opens), in a fixed order: lexicographic in the characteristic vector over
     the proper non-empty subsets of ``x`` in ascending mask order, a subset
-    left out sorting before it is put in.  Every partition of ``x`` is paired
-    with every labeled poset on its blocks.  Exponential in |x|; guarded at
-    |x| <= 5 — for larger ground sets with a known open count use
-    :func:`topologies_with_open_count`.
+    left out sorting before it is put in.  The families are those of the
+    partition × poset walk over every requested open count.  Exponential in
+    |x|; guarded at |x| <= 5 — for larger ground sets with a known open
+    count use :func:`topologies_with_open_count`.
     """
     s = len(x)
     if s > ENUMERATE_GUARD:
@@ -397,15 +403,8 @@ def enumerate_topologies(
             f"enumerate_topologies is limited to ground sets of size {ENUMERATE_GUARD}; "
             "for a fixed open count use topologies_with_open_count instead"
         )
-    families = []
-    for c in range(1, s + 1):
-        posets = [
-            ups
-            for _, ups in _labeled_posets(c, 2**c)
-            if open_count_filter is None or len(ups) == open_count_filter
-        ]
-        for blocks in _partitions_into_blocks(s, c):
-            families.extend(tuple(_or_blocks(u, blocks) for u in ups) for ups in posets)
+    counts = range(2**s + 1) if open_count_filter is None else (open_count_filter,)
+    families = [family for k in counts for family in _abstract_open_masks(s, k)]
     # One weight per family: bit ``top - m`` stands for subset m, so the
     # smallest mask is the most significant digit.
     top = (1 << s) - 1

@@ -93,6 +93,10 @@ class TestConstruct:
         assert out.startswith("ground: {0,1,2}\n")
         assert out.count("\n") == 8  # ground line + 7 vertices
 
+    def test_star_discrete_guard(self, capsys):
+        assert main(["construct", "--family", "star-discrete", "-k", "11"]) == 2
+        assert "k <= 10" in capsys.readouterr().err
+
     def test_out_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "shovel31")
         assert main(

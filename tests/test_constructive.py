@@ -272,6 +272,20 @@ class TestStarDiscrete:
         with pytest.raises(DomainError):
             label_star_discrete(0)
 
+    def test_guard_refuses_before_building(self, monkeypatch):
+        """k = 11 is refused by name before the discrete topology is built;
+        k = 10, the limit, is still built and verified."""
+        from tiasl import constructive
+
+        def refuse(x):
+            raise AssertionError("built a topology past the guard")
+
+        monkeypatch.setattr(constructive, "discrete_topology", refuse)
+        with pytest.raises(DomainError, match="1 <= k <= 10, got 11"):
+            label_star_discrete(11)
+        monkeypatch.undo()
+        assert label_star_discrete(10).graph.order == 2**10 - 1
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_is_the_star_realization_of_the_discrete_topology(self, k):
         x = GroundSet(IntSet(range(k)))

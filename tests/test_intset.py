@@ -209,6 +209,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_set_text("{1,1}")
 
+    def test_elements_above_the_universe_refused(self):
+        """Refused while parsing: an element past any ground set would
+        otherwise become a mask of that many bits."""
+        assert parse_set_text("{0,64}") == IntSet([0, 64])
+        for text in ("{0,65}", "{0,100000}"):
+            with pytest.raises(ParseError, match="universe limit 64") as e:
+                parse_set_text(text)
+            assert e.value.offset == 3
+
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse_set_text("{0} extra")

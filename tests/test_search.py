@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -42,6 +45,7 @@ from tiasl.search import (
 )
 
 from oracles import (
+    all_topologies,
     bijection_exists,
     find_tiasl_reference,
     search_one_ground_reference,
@@ -289,6 +293,58 @@ class TestCountedCertificates:
             assert _counters(out) == counters
             assert out.witness == witness
             assert tsin == len(witness.topology.ground)
+
+
+@lru_cache(maxsize=None)
+def _oracle_topologies(elems):
+    return all_topologies(elems)
+
+
+def _oracle_first_ground(g, bounds):
+    """The first ground set of the window, in (size, lexicographic) order,
+    on which some topology with order + 1 opens admits a bijection, from the
+    closure scan and the permutation scan alone; None if there is none."""
+    pool = range(bounds.max_element + 1)
+    grounds = [
+        x
+        for size in range(1, bounds.max_ground_size + 1)
+        for x in combinations(pool, size)
+        if 0 in x or not bounds.require_zero
+    ]
+    for x in grounds:
+        for family in _oracle_topologies(x):
+            if len(family) == g.order + 1 and bijection_exists(
+                g.order, g.edges, x, [o for o in family if o]
+            ):
+                return x
+    return None
+
+
+def _random_graphs(rng, orders, each):
+    """``each`` graphs per order, every vertex pair an edge with chance 1/2."""
+    return [
+        Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < 0.5])
+        for n in orders
+        for _ in range(each)
+    ]
+
+
+class TestSearchAgainstOracles:
+    """Unpruned find_tiasl against brute force on random graphs of order
+    1..4, isolated vertices included, so that the counted, the {0}-open and
+    the full route all run."""
+
+    GRAPHS = _random_graphs(random.Random(8), orders=(1, 2, 3, 4), each=12)
+
+    @pytest.mark.parametrize("require_zero", [True, False])
+    def test_status_and_first_ground_set(self, require_zero):
+        bounds = SearchBounds(4, 4, require_zero)
+        for g in self.GRAPHS:
+            out = find_tiasl(g, bounds, pendant_prune=False)
+            want = _oracle_first_ground(g, bounds)
+            assert out.status == ("exhausted" if want is None else "found"), g
+            if want is not None:
+                assert out.witness.topology.ground.members.elements == want, g
 
 
 class TestPoolSize:

@@ -270,6 +270,14 @@ class TestPosetGenerator:
         table = _posets_with_up_set_count(6, 7)
         assert len(table) == 720 and set(table) == chains
 
+    def test_two_tables_per_class_count(self):
+        """Every open count on 5 points reads the table pruned at
+        OPEN_COUNT_GUARD or the complete one: at most two per class count."""
+        for cached in (_labeled_posets, _posets_with_up_set_count, count_open_masks):
+            cached.cache_clear()
+        assert sum(count_open_masks(5, k) for k in range(33)) == 6942
+        assert _labeled_posets.cache_info().currsize <= 12
+
     def test_guard(self):
         """Tables are built for at most 7 up-sets or at most 5 classes."""
         for s in (6, 7):
@@ -292,6 +300,15 @@ class TestEnumerationOrder:
         ground = g(0, 2, 3, 7, 9)
         got = [str(t) for t in enumerate_topologies(ground)]
         assert got == [str(t) for t in enumerate_topologies_reference(ground)]
+
+    def test_open_count_filter_gapped_five(self):
+        """Each open count reads its own walk; the rows are those of one
+        closure search filtered by open count, order included."""
+        ground = g(0, 2, 3, 7, 9)
+        reference = list(enumerate_topologies_reference(ground))
+        for k in range(34):
+            got = [str(t) for t in enumerate_topologies(ground, k)]
+            assert got == [str(t) for t in reference if t.open_count == k], k
 
 
 class TestCompatibility:

@@ -3,19 +3,35 @@ one must still exist, or ``bench/run.py --trace 1`` fails."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_trace_target_resolves():
+def _targets():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.TARGETS
-    for module_name, attr, _name, _kind in tracing.TARGETS:
-        module = importlib.import_module(module_name)
-        assert callable(getattr(module, attr)), (module_name, attr)
+    for module_name, attr, _name, kind in tracing.TARGETS:
+        yield module_name, attr, kind, getattr(importlib.import_module(module_name), attr)
+
+
+def test_every_trace_target_resolves():
+    for module_name, attr, _kind, target in _targets():
+        assert callable(target), (module_name, attr)
+
+
+def test_every_trace_target_has_its_kind():
+    """A ``gen`` wrapper drives its target with ``next()`` and the
+    ``bijection`` wrapper passes ``_nodes``, so a target that stops being a
+    generator, or loses that keyword, breaks the traced run only."""
+    for module_name, attr, kind, target in _targets():
+        if kind == "gen":
+            assert inspect.isgeneratorfunction(target), (module_name, attr)
+        elif kind == "bijection":
+            assert "_nodes" in inspect.signature(target).parameters, (module_name, attr)
 
 
 def test_poset_tables_are_looked_up_through_module_globals(monkeypatch):
