@@ -10,11 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intset import DomainError, ParseError, numbered_lines
+from .intset import DomainError, ParseError, numbered_lines, parse_decimal
 
 #: The catalog marks whole permutation orbits, so n! times the number of
 #: isomorphism classes must stay desk-sized.
 CATALOG_GUARD = 7
+
+#: Largest order an edge list may declare.  ``Graph.degrees``/``adjacency``
+#: and ``SetLabeling.from_mapping`` allocate and walk one entry per vertex,
+#: so the declared order alone would otherwise set their memory and time.
+ORDER_GUARD = 2**16
 
 
 @dataclass(frozen=True)
@@ -184,19 +189,12 @@ def emit_graph6(g: Graph) -> str:
     n = g.order
     if n > 62:
         raise DomainError(f"short-form graph6 covers orders up to 62, got {n}")
-    out = [chr(63 + n)]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    bits = "".join(
+        "1" if (i, j) in g.edges else "0" for j in range(1, n) for i in range(j)
+    )
+    bits += "0" * (-len(bits) % 6)
+    body = (chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
+    return chr(63 + n) + "".join(body)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -219,20 +217,12 @@ def parse_graph6(text: str) -> Graph:
             f"graph6 body for order {n} needs {need} bytes, got {len(s) - 1}",
             min(len(s), need + 1),
         )
-    bits = []
-    for ch in s[1:]:
-        val = ord(ch) - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    for pos in range(nbits, len(bits)):
-        if bits[pos]:
-            raise ParseError("non-zero padding bits", 1 + pos // 6)
-    edges = []
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[b]:
-                edges.append((i, j))
-            b += 1
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in s[1:])
+    pad = bits.find("1", nbits)
+    if pad != -1:
+        raise ParseError("non-zero padding bits", 1 + pad // 6)
+    slots = ((i, j) for j in range(1, n) for i in range(j))
+    edges = [e for e, bit in zip(slots, bits) if bit == "1"]
     return Graph.from_edges(n, edges)
 
 
@@ -257,7 +247,9 @@ def parse_edge_list(text: str) -> Graph:
     head = head_line.split()
     if len(head) != 2 or not all(w.isdecimal() for w in head):
         raise ParseError("first line must be 'n m' with two non-negative integers", head_no)
-    n, m = int(head[0]), int(head[1])
+    n, m = (parse_decimal(w, head_no) for w in head)
+    if n > ORDER_GUARD:
+        raise ParseError(f"order {n} exceeds the limit {ORDER_GUARD}", head_no)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}", lines[-1][0])
     edges = set()
@@ -265,7 +257,7 @@ def parse_edge_list(text: str) -> Graph:
         words = ln.split()
         if len(words) != 2 or not all(w.isdecimal() for w in words):
             raise ParseError("edge line must be 'u v' with two non-negative integers", lineno)
-        u, v = int(words[0]), int(words[1])
+        u, v = (parse_decimal(w, lineno) for w in words)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
         if u >= n or v >= n:

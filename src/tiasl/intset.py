@@ -15,6 +15,11 @@ from typing import Iterable, Iterator
 #: (a graph on n vertices never needs elements beyond 2n-3, so n ~ 33).
 UNIVERSE_LIMIT = 64
 
+#: Most significant digits a parsed decimal word may have.  ``int`` refuses
+#: longer words than the interpreter's limit (4300 digits by default, never
+#: set below 640), and no number a parser accepts comes near this length.
+DECIMAL_DIGITS_LIMIT = 640
+
 
 class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
@@ -234,6 +239,16 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     ]
 
 
+def parse_decimal(word: str, offset: int) -> int:
+    """The value of ``word``, a string of decimal digits.  Leading zeros are
+    insignificant; more than DECIMAL_DIGITS_LIMIT significant digits are a
+    ParseError at ``offset``."""
+    digits = word.lstrip("0") or "0"
+    if len(digits) > DECIMAL_DIGITS_LIMIT:
+        raise ParseError(f"number has {len(digits)} digits, more than {DECIMAL_DIGITS_LIMIT}", offset)
+    return int(digits)
+
+
 def parse_set_text(text: str) -> IntSet:
     """Parse the canonical ``{0,1,2}`` form (whitespace around items allowed)."""
     stripped = text.strip()
@@ -252,7 +267,7 @@ def parse_set_text(text: str) -> IntSet:
         word = item.strip()
         if not word.isdecimal():
             raise ParseError(f"expected a non-negative integer, got {word!r}", pos + lead)
-        e = int(word)
+        e = parse_decimal(word, pos + lead)
         if e > UNIVERSE_LIMIT:
             raise ParseError(f"element {e} exceeds the universe limit {UNIVERSE_LIMIT}", pos + lead)
         if mask >> e & 1:
@@ -260,3 +275,19 @@ def parse_set_text(text: str) -> IntSet:
         mask |= 1 << e
         pos += len(item) + 1
     return IntSet.from_mask(mask)
+
+
+def parse_ground_header(lines: list[tuple[int, str]], what: str) -> GroundSet:
+    """The ground set of a ``what`` file, read from its first numbered line,
+    which must be ``ground: {…}``; errors carry that line's number."""
+    if not lines or not lines[0][1].startswith("ground:"):
+        raise ParseError(
+            f"{what} file must start with a 'ground:' line", lines[0][0] if lines else 1
+        )
+    lineno, line = lines[0]
+    try:
+        return GroundSet(parse_set_text(line[len("ground:") :]))
+    except ParseError as exc:
+        raise exc.on_line("bad ground set", lineno, len("ground:")) from exc
+    except DomainError as exc:
+        raise ParseError(f"bad ground set: {exc}", lineno) from exc

@@ -31,6 +31,8 @@ from .intset import (
     format_set,
     is_subset,
     numbered_lines,
+    parse_decimal,
+    parse_ground_header,
     parse_set_text,
     sumset,
 )
@@ -240,24 +242,14 @@ def parse_labeling_text(text: str) -> tuple[GroundSet, dict[int, IntSet]]:
     """Inverse of :func:`format_labeling`, except that the graph is supplied
     separately: returns the ground set and the vertex->set mapping."""
     lines = numbered_lines(text)
-    if not lines or not lines[0][1].startswith("ground:"):
-        raise ParseError(
-            "labeling file must start with a 'ground:' line", lines[0][0] if lines else 1
-        )
-    ground_no, ground_line = lines[0]
-    try:
-        ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
-    except ParseError as exc:
-        raise exc.on_line("bad ground set", ground_no, len("ground:")) from exc
-    except DomainError as exc:
-        raise ParseError(f"bad ground set: {exc}", ground_no) from exc
+    ground = parse_ground_header(lines, "labeling")
     labels: dict[int, IntSet] = {}
     for lineno, ln in lines[1:]:
         head, sep, body = ln.partition(":")
         head = head.strip()
         if not sep or not head.startswith("v") or not head[1:].isdecimal():
             raise ParseError("expected 'v<index>: {…}'", lineno)
-        v = int(head[1:])
+        v = parse_decimal(head[1:], lineno)
         if v in labels:
             raise ParseError(f"duplicate label line for vertex {v}", lineno)
         try:
@@ -289,19 +281,17 @@ def format_report(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _violation_dicts(violations: tuple[Violation, ...]) -> list[dict]:
+    return [{"kind": v.kind, "witness": [str(w) for w in v.witness]} for v in violations]
+
+
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "is_iasl": report.is_iasl,
         "is_tiasl": report.is_tiasl,
         "is_tiasi": report.is_tiasi,
-        "violations": [
-            {"kind": v.kind, "witness": [str(w) for w in v.witness]}
-            for v in report.violations
-        ],
-        "warnings": [
-            {"kind": w.kind, "witness": [str(x) for x in w.witness]}
-            for w in report.warnings
-        ],
+        "violations": _violation_dicts(report.violations),
+        "warnings": _violation_dicts(report.warnings),
         "vertex_label_sizes": list(report.vertex_label_sizes),
         "edge_label_sizes": [
             {"edge": [u, v], "size": n} for (u, v), n in report.edge_label_sizes

@@ -397,8 +397,8 @@ def _sweep_one(args: tuple[Graph, int | None, int | None]) -> SweepEntry:
         )
     n = g.order
     me = max_element if max_element is not None else 2 * n - 3
-    mg = max_ground_size if max_ground_size is not None else max(2 * n - 2, 0)
-    bounds = SearchBounds(max(me, -1), max(mg, 0))
+    mg = max_ground_size if max_ground_size is not None else 2 * n - 2
+    bounds = SearchBounds(me, mg)
     outcome = find_tiasl(g, bounds, pendant_prune=False)
     if outcome.found:
         return SweepEntry(
@@ -439,15 +439,19 @@ def theorem_sweep(
 # text and JSON forms
 
 
+def _key_values(record) -> str:
+    """The record's fields as ``key=value`` words, bools in lower case."""
+    return " ".join(
+        f"{k}={str(v).lower() if isinstance(v, bool) else v}"
+        for k, v in vars(record).items()
+    )
+
+
 def format_search_outcome(o: SearchOutcome) -> str:
-    b = o.bounds
     lines = [
         f"status: {o.status}",
-        f"bounds: max_element={b.max_element} max_ground_size={b.max_ground_size} "
-        f"require_zero={str(b.require_zero).lower()}",
-        f"certificate: ground_sets_tried={o.certificate.ground_sets_tried} "
-        f"topologies_tried={o.certificate.topologies_tried} "
-        f"bijection_nodes={o.certificate.bijection_nodes}",
+        f"bounds: {_key_values(o.bounds)}",
+        f"certificate: {_key_values(o.certificate)}",
     ]
     if o.witness is not None:
         lines.append("--- labeling ---")
@@ -460,16 +464,8 @@ def format_search_outcome(o: SearchOutcome) -> str:
 def outcome_to_dict(o: SearchOutcome) -> dict:
     out = {
         "status": o.status,
-        "bounds": {
-            "max_element": o.bounds.max_element,
-            "max_ground_size": o.bounds.max_ground_size,
-            "require_zero": o.bounds.require_zero,
-        },
-        "certificate": {
-            "ground_sets_tried": o.certificate.ground_sets_tried,
-            "topologies_tried": o.certificate.topologies_tried,
-            "bijection_nodes": o.certificate.bijection_nodes,
-        },
+        "bounds": vars(o.bounds).copy(),
+        "certificate": vars(o.certificate).copy(),
         "witness": None,
     }
     if o.witness is not None:
@@ -506,16 +502,5 @@ def sweep_report_to_dict(r: SweepReport) -> dict:
         "max_n": r.max_n,
         "graphs_processed": r.graphs_processed,
         "inconsistent": len(r.inconsistencies),
-        "entries": [
-            {
-                "graph6": e.graph6,
-                "order": e.order,
-                "size": e.size,
-                "pendants": e.pendants,
-                "disposition": e.disposition,
-                "consistent": e.consistent,
-                "note": e.note,
-            }
-            for e in r.entries
-        ],
+        "entries": [vars(e).copy() for e in r.entries],
     }

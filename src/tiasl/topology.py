@@ -34,6 +34,7 @@ from .intset import (
     canonical_key,
     format_set,
     numbered_lines,
+    parse_ground_header,
     parse_set_text,
     sumset_mask,
 )
@@ -510,17 +511,7 @@ def format_topology(t: Topology) -> str:
 def parse_topology_text(text: str) -> Topology:
     """Inverse of :func:`format_topology`; validates the axioms."""
     lines = numbered_lines(text)
-    if not lines or not lines[0][1].startswith("ground:"):
-        raise ParseError(
-            "topology file must start with a 'ground:' line", lines[0][0] if lines else 1
-        )
-    ground_no, ground_line = lines[0]
-    try:
-        ground = GroundSet(parse_set_text(ground_line[len("ground:") :]))
-    except ParseError as exc:
-        raise exc.on_line("bad ground set", ground_no, len("ground:")) from exc
-    except DomainError as exc:
-        raise ParseError(f"bad ground set: {exc}", ground_no) from exc
+    ground = parse_ground_header(lines, "topology")
     opens = []
     saw_empty = False
     for lineno, ln in lines[1:]:

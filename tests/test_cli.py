@@ -320,6 +320,22 @@ class TestSweep:
         assert captured.err.startswith("error:") and "threads" in captured.err
 
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-element", "-7", "max_element must be >= -1, got -7"),
+            ("--max-ground-size", "-4", "max_ground_size must be >= 0, got -4"),
+        ],
+    )
+    def test_negative_overrides_rejected(self, capsys, threads, flag, value, message):
+        """Refused as ``search`` refuses them, not clamped to an empty window."""
+        assert main(["sweep", "--max-n", "3", flag, value, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
@@ -337,6 +353,27 @@ class TestUsageErrors:
         assert main(["verify", str(f), str(f)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "0..2" in err
+
+    @pytest.mark.parametrize(
+        "edges, labels",
+        [
+            ("1" * 5000 + " 0\n", "ground: {0,1}\nv0: {0}\nv1: {1}\n"),
+            ("2 1\n0 " + "1" * 5000 + "\n", "ground: {0,1}\nv0: {0}\nv1: {1}\n"),
+            ("70000 0\n", "ground: {0,1}\nv0: {0}\nv1: {1}\n"),
+            ("2 1\n0 1\n", "ground: {0,1}\nv" + "1" * 5000 + ": {0}\n"),
+            ("2 1\n0 1\n", "ground: {0,1}\nv0: {" + "1" * 5000 + "}\n"),
+        ],
+        ids=["order", "edge", "order-guard", "vertex-index", "set-element"],
+    )
+    def test_huge_numbers_exit_2(self, tmp_path, capsys, edges, labels):
+        g = tmp_path / "g.edges"
+        g.write_text(edges)
+        l = tmp_path / "g.labels"
+        l.write_text(labels)
+        assert main(["verify", str(g), str(l)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_bad_labeling_offset(self, tmp_path, capsys):
         g = tmp_path / "p2.edges"

@@ -28,6 +28,8 @@ from tiasl import (
     tadpole,
 )
 
+from tiasl.graph import ORDER_GUARD
+
 from oracles import canonical_edge_mask
 
 
@@ -197,6 +199,22 @@ class TestEdgeListText:
             parse_edge_list("3 2\n0 1\n")  # count mismatch
         with pytest.raises(ParseError):
             parse_edge_list("")
+
+    def test_huge_words_refused(self):
+        big = "1" * 5000
+        for text, line in ((big + " 0\n", 1), ("2 " + big + "\n", 1), ("2 1\n0 " + big + "\n", 2)):
+            with pytest.raises(ParseError, match="5000 digits") as e:
+                parse_edge_list(text)
+            assert e.value.offset == line
+        assert parse_edge_list("0" * 5000 + "2 1\n0 " + "0" * 5000 + "1\n") == path(2)
+
+    def test_order_guard(self):
+        """The declared order is refused above ORDER_GUARD before any
+        per-vertex table is built."""
+        assert parse_edge_list(f"{ORDER_GUARD} 0\n").order == ORDER_GUARD
+        with pytest.raises(ParseError, match="exceeds the limit") as e:
+            parse_edge_list(f"# big\n{ORDER_GUARD + 1} 0\n")
+        assert e.value.offset == 2
 
     def test_comment_lines_skipped(self):
         assert parse_edge_list("# c\n2 1\n0 1\n") == path(2)

@@ -218,6 +218,16 @@ class TestParsing:
                 parse_set_text(text)
             assert e.value.offset == 3
 
+    def test_huge_words_refused(self):
+        """Words past the interpreter's int conversion limit are a
+        ParseError, not a bare ValueError; leading zeros do not count."""
+        big = "1" * 5000
+        with pytest.raises(ParseError, match="5000 digits") as e:
+            parse_set_text("{0, " + big + "}")
+        assert e.value.offset == 4
+        assert parse_set_text("{" + "0" * 5000 + "1}") == IntSet([1])
+        assert parse_set_text("{0001}") == IntSet([1])
+
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse_set_text("{0} extra")

@@ -280,6 +280,20 @@ class TestTextForms:
         with pytest.raises(ParseError, match="duplicate"):
             parse_labeling_text("ground: {0,1}\nv0: {0}\nv0: {1}\n")
 
+    def test_huge_words_refused(self):
+        big = "1" * 5000
+        with pytest.raises(ParseError, match="5000 digits") as e:
+            parse_labeling_text("ground: {0,1}\nv" + big + ": {0}\n")
+        assert e.value.offset == 2
+        with pytest.raises(ParseError, match="5000 digits") as e:
+            parse_labeling_text("ground: {0,1}\nv0: {" + big + "}\n")
+        assert e.value.offset == 2
+        with pytest.raises(ParseError, match="5000 digits") as e:
+            parse_labeling_text("ground: {" + big + "}\n")
+        assert e.value.offset == 1
+        ground, labels = parse_labeling_text("ground: {0,1}\nv" + "0" * 5000 + "1: {1}\n")
+        assert labels == {1: IntSet([1])}
+
     def test_parse_errors_report_physical_lines(self):
         with pytest.raises(ParseError) as e:
             parse_labeling_text("\nground: {0,1}\n\nv0: {0}\n\nvx: {1}\n")

@@ -45,6 +45,11 @@ fuzzed_text = st.one_of(
 @example(text="{0,65}")
 @example(text="2 1\n0 ²")
 @example(text="ground: {0}\nv²: {0}")
+@example(text="{" + "1" * 5000 + "}")
+@example(text="1" * 5000 + " 0")
+@example(text="2 1\n0 " + "1" * 5000)
+@example(text="ground: {0}\nv" + "1" * 5000 + ": {0}")
+@example(text="70000 0")
 def test_parsers_raise_only_their_own_errors(parse, text):
     try:
         parse(text)
