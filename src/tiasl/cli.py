@@ -87,11 +87,14 @@ def _labeling_dict(lab: SetLabeling) -> dict:
     }
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Print ``payload()`` as JSON under ``--json``, else ``text()``: only
+    the printed form is rendered."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        out = text()
+        print(out, end="" if out.endswith("\n") else "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -99,7 +102,7 @@ def _cmd_verify(args) -> int:
     ground, mapping = parse_labeling_text(Path(args.labels).read_text())
     lab = SetLabeling.from_mapping(g, ground, mapping)
     report = verify_tiasi(lab) if args.tiasi else verify_tiasl(lab)
-    _emit(args, report_to_dict(report), format_report(report))
+    _emit(args, lambda: report_to_dict(report), lambda: format_report(report))
     return 0 if (report.is_tiasi if args.tiasi else report.is_tiasl) else 1
 
 
@@ -130,7 +133,7 @@ def _cmd_construct(args) -> int:
         lab = label_any_pendant(g)
     if args.out:
         _write_pair(args.out, lab)
-    _emit(args, _labeling_dict(lab), format_labeling(lab))
+    _emit(args, lambda: _labeling_dict(lab), lambda: format_labeling(lab))
     return 0
 
 
@@ -141,7 +144,7 @@ def _cmd_realize(args) -> int:
         lab = saturate_realization(lab)
     if args.out:
         _write_pair(args.out, lab)
-    _emit(args, _labeling_dict(lab), format_labeling(lab))
+    _emit(args, lambda: _labeling_dict(lab), lambda: format_labeling(lab))
     return 0
 
 
@@ -155,12 +158,13 @@ def _cmd_search(args) -> int:
     value, outcome = topological_set_indexing_number(
         g, bounds, pendant_prune=not args.no_prune, threads=args.threads
     )
-    text = format_search_outcome(outcome)
-    payload = outcome_to_dict(outcome)
-    if args.tsin:
-        text += f"tsin: {'-' if value is None else value}\n"
-        payload["tsin"] = value
-    _emit(args, payload, text)
+    tsin = {"tsin": value} if args.tsin else {}
+    tail = f"tsin: {'-' if value is None else value}\n" if args.tsin else ""
+    _emit(
+        args,
+        lambda: {**outcome_to_dict(outcome), **tsin},
+        lambda: format_search_outcome(outcome) + tail,
+    )
     return 0 if outcome.found else 1
 
 
@@ -172,15 +176,14 @@ def _cmd_topologies(args) -> int:
         gen = enumerate_topologies(x, args.opens)
     if args.list:
         rows = [[format_set(o) for o in t.opens] for t in gen]
-        text = "\n".join(" ".join(row) for row in rows)
         _emit(
             args,
-            {"ground": str(x), "count": len(rows), "topologies": rows},
-            text + ("\n" if rows else ""),
+            lambda: {"ground": str(x), "count": len(rows), "topologies": rows},
+            lambda: "".join(" ".join(row) + "\n" for row in rows),
         )
     else:
         count = sum(1 for _ in gen)
-        _emit(args, {"ground": str(x), "count": count}, f"{count}\n")
+        _emit(args, lambda: {"ground": str(x), "count": count}, lambda: f"{count}\n")
     return 0
 
 
@@ -188,33 +191,33 @@ def _cmd_analyze(args) -> int:
     t = parse_topology_text(Path(args.topology).read_text())
     req = min_pendant_requirements(t)
     cg = compatibility_graph(t)
-    degrees = cg.degrees()
-    lines = [
-        f"ground: {t.ground}",
-        f"opens: {t.open_count}",
-        f"discrete: {str(t.is_discrete()).lower()}",
-        "compatibility: "
-        + " ".join(
-            f"{format_set(o)}:{d}" for o, d in zip(cg.nodes, degrees)
-        ),
-        f"compatibility edges: {len(cg.edges)}",
-        f"min pendant edges on the {{0}} vertex: {req.edges_on_zero_vertex}",
-        f"min pendant vertices: {req.pendant_vertices}",
-        f"star realization order: {t.open_count - 1}",
-    ]
-    payload = {
-        "ground": str(t.ground),
-        "opens": t.open_count,
-        "discrete": t.is_discrete(),
-        "compatibility_degrees": {
-            format_set(o): d for o, d in zip(cg.nodes, degrees)
+    degrees = [(format_set(o), d) for o, d in zip(cg.nodes, cg.degrees())]
+    _emit(
+        args,
+        lambda: {
+            "ground": str(t.ground),
+            "opens": t.open_count,
+            "discrete": t.is_discrete(),
+            "compatibility_degrees": dict(degrees),
+            "compatibility_edges": cg.size,
+            "min_pendant_edges_on_zero_vertex": req.edges_on_zero_vertex,
+            "min_pendant_vertices": req.pendant_vertices,
+            "star_realization_order": t.open_count - 1,
         },
-        "compatibility_edges": len(cg.edges),
-        "min_pendant_edges_on_zero_vertex": req.edges_on_zero_vertex,
-        "min_pendant_vertices": req.pendant_vertices,
-        "star_realization_order": t.open_count - 1,
-    }
-    _emit(args, payload, "\n".join(lines) + "\n")
+        lambda: "".join(
+            line + "\n"
+            for line in (
+                f"ground: {t.ground}",
+                f"opens: {t.open_count}",
+                f"discrete: {str(t.is_discrete()).lower()}",
+                "compatibility: " + " ".join(f"{o}:{d}" for o, d in degrees),
+                f"compatibility edges: {cg.size}",
+                f"min pendant edges on the {{0}} vertex: {req.edges_on_zero_vertex}",
+                f"min pendant vertices: {req.pendant_vertices}",
+                f"star realization order: {t.open_count - 1}",
+            )
+        ),
+    )
     return 0
 
 
@@ -225,7 +228,7 @@ def _cmd_sweep(args) -> int:
         max_ground_size=args.max_ground_size,
         threads=args.threads,
     )
-    _emit(args, sweep_report_to_dict(report), format_sweep_report(report))
+    _emit(args, lambda: sweep_report_to_dict(report), lambda: format_sweep_report(report))
     return 0 if not report.inconsistencies else 1
 
 

@@ -6,8 +6,8 @@ returning, so a successful return is itself a checked certificate.
 
 from __future__ import annotations
 
-from .graph import Graph, complete, pan, pendant_vertices, shovel, star, tadpole
-from .intset import DomainError, GroundSet, IntSet
+from .graph import Graph, complete, pendant_vertices, shovel, star, tadpole
+from .intset import DomainError, GroundSet, IntSet, check_universe
 from .labeling import SetLabeling, verify_tiasl
 from .topology import Topology, discrete_topology
 
@@ -64,21 +64,23 @@ def saturate_realization(l: SetLabeling) -> SetLabeling:
 
 
 def _label_handle(
-    g: Graph, n: int, m: int, ground_max: int | None, name: str
+    build, n: int, m: int, ground_max: int | None, name: str
 ) -> SetLabeling:
-    """The labeling of :func:`label_tadpole` on any base graph ``g`` of n
-    vertices followed by an m-vertex handle at vertex 0; ``name`` opens the
-    message for a too-small ``ground_max``."""
+    """The labeling of :func:`label_tadpole` on the graph ``build(n, m)``: a
+    base graph of n vertices followed by an m-vertex handle at vertex 0.
+    ``name`` opens the message for a too-small ``ground_max``; a ground set
+    beyond the universe is refused before the graph or any mask is built."""
     least = 2 * (m + n) - 5
     if ground_max is None:
         ground_max = least
     if ground_max < least:
         raise DomainError(f"{name} needs ground_max >= {least}, got {ground_max}")
+    check_universe(ground_max)
     x = GroundSet(_interval(ground_max))
     labels = [_interval(m + j - 1) for j in range(n)]
     labels.extend(_interval(m - 2 - k) for k in range(m - 1))
     labels.append(x.members)
-    return _checked(SetLabeling(g, x, tuple(labels)))
+    return _checked(SetLabeling(build(n, m), x, tuple(labels)))
 
 
 def label_pan(n: int, ground_max: int | None = None) -> SetLabeling:
@@ -87,7 +89,7 @@ def label_pan(n: int, ground_max: int | None = None) -> SetLabeling:
     carries X = {0..ground_max} with ground_max >= 2n-3."""
     if n < 3:
         raise DomainError(f"pan needs a cycle on at least three vertices, got {n}")
-    return _label_handle(pan(n), n, 1, ground_max, f"pan on {n} cycle vertices")
+    return _label_handle(tadpole, n, 1, ground_max, f"pan on {n} cycle vertices")
 
 
 def label_tadpole(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
@@ -99,7 +101,7 @@ def label_tadpole(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
         raise DomainError(f"tadpole needs a cycle on at least three vertices, got {n}")
     if m < 1:
         raise DomainError(f"tadpole needs a handle of at least one vertex, got {m}")
-    return _label_handle(tadpole(n, m), n, m, ground_max, f"tadpole({n},{m})")
+    return _label_handle(tadpole, n, m, ground_max, f"tadpole({n},{m})")
 
 
 def label_shovel(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
@@ -110,7 +112,7 @@ def label_shovel(n: int, m: int, ground_max: int | None = None) -> SetLabeling:
         raise DomainError(f"shovel needs a clique on at least three vertices, got {n}")
     if m < 1:
         raise DomainError(f"shovel needs a handle of at least one vertex, got {m}")
-    return _label_handle(shovel(n, m), n, m, ground_max, f"shovel({n},{m})")
+    return _label_handle(shovel, n, m, ground_max, f"shovel({n},{m})")
 
 
 def label_any_pendant(g: Graph) -> SetLabeling:

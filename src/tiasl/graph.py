@@ -53,8 +53,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        return tuple(self.adjacency()[v])
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.order)]
@@ -68,7 +67,7 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.order:
             raise DomainError(f"vertex {v} out of range")
-        return sum(1 for e in self.edges if v in e)
+        return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:
         d = [0] * self.order
@@ -88,12 +87,10 @@ def isolated_vertices(g: Graph) -> tuple[int, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.order > 0 and _reaches_all(g.adjacency())
-
-
-def _reaches_all(adj: list[list[int]]) -> bool:
-    """Breadth-first search from vertex 0 over an adjacency list: does it
-    reach every vertex?"""
+    """Breadth-first search from vertex 0: does it reach every vertex?"""
+    if g.order == 0:
+        return False
+    adj = g.adjacency()
     seen = {0}
     queue = deque((0,))
     while queue:
@@ -102,7 +99,7 @@ def _reaches_all(adj: list[list[int]]) -> bool:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
-    return len(seen) == len(adj)
+    return len(seen) == g.order
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +148,8 @@ def ladle(g: Graph, attach: int, m: int) -> Graph:
         raise DomainError(f"attach vertex {attach} out of range")
     if m < 1:
         raise DomainError(f"handle needs at least one vertex, got {m}")
-    edges = set(g.edges)
-    prev = attach
-    for i in range(m):
-        new = g.order + i
-        edges.add((prev, new) if prev < new else (new, prev))
-        prev = new
-    return Graph(g.order + m, frozenset(edges))
+    handle = (attach, *range(g.order, g.order + m))
+    return Graph.from_edges(g.order + m, itertools.chain(g.edges, zip(handle, handle[1:])))
 
 
 def tadpole(n: int, m: int) -> Graph:
@@ -183,15 +175,19 @@ def shovel(n: int, m: int) -> Graph:
 # graph6 (short form, n <= 62)
 
 
+def _graph6_slots(n: int):
+    """Vertex pairs of the upper triangle, column by column: the bit order
+    of a graph6 body."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
 def emit_graph6(g: Graph) -> str:
     """Canonical short-form graph6: size byte, then the upper triangle of the
     adjacency matrix column by column, packed big-endian six bits per byte."""
     n = g.order
     if n > 62:
         raise DomainError(f"short-form graph6 covers orders up to 62, got {n}")
-    bits = "".join(
-        "1" if (i, j) in g.edges else "0" for j in range(1, n) for i in range(j)
-    )
+    bits = "".join("1" if e in g.edges else "0" for e in _graph6_slots(n))
     bits += "0" * (-len(bits) % 6)
     body = (chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
     return chr(63 + n) + "".join(body)
@@ -221,8 +217,7 @@ def parse_graph6(text: str) -> Graph:
     pad = bits.find("1", nbits)
     if pad != -1:
         raise ParseError("non-zero padding bits", 1 + pad // 6)
-    slots = ((i, j) for j in range(1, n) for i in range(j))
-    edges = [e for e, bit in zip(slots, bits) if bit == "1"]
+    edges = [e for e, bit in zip(_graph6_slots(n), bits) if bit == "1"]
     return Graph.from_edges(n, edges)
 
 
@@ -274,9 +269,6 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _connected_graphs_of_order(n: int):
-    if n == 1:
-        yield Graph(1, frozenset())
-        return
     pairs = list(itertools.combinations(range(n), 2))
     num_pairs = len(pairs)
     index = {p: b for b, p in enumerate(pairs)}
@@ -301,13 +293,9 @@ def _connected_graphs_of_order(n: int):
             seen_view[imgs] = 1
         else:
             seen[0] = 1
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for b in slots:
-            u, v = pairs[b]
-            adj[u].append(v)
-            adj[v].append(u)
-        if _reaches_all(adj):
-            yield Graph.from_edges(n, (pairs[b] for b in slots))
+        g = Graph.from_edges(n, (pairs[b] for b in slots))
+        if is_connected(g):
+            yield g
         m = seen.find(0, m)
 
 

@@ -162,6 +162,13 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     return IntSet.from_mask(sumset_mask(a.mask, b.mask))
 
 
+def check_universe(top: int) -> None:
+    """Refuse a ground set whose largest element ``top`` exceeds
+    ``UNIVERSE_LIMIT``; callers may ask before building its mask."""
+    if top > UNIVERSE_LIMIT:
+        raise DomainError(f"ground set element {top} exceeds the universe limit {UNIVERSE_LIMIT}")
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Non-empty universe X that labels and topologies live inside."""
@@ -171,11 +178,7 @@ class GroundSet:
     def __post_init__(self):
         if not self.members:
             raise DomainError("ground set must be non-empty")
-        if self.members.max_element > UNIVERSE_LIMIT:
-            raise DomainError(
-                f"ground set element {self.members.max_element} exceeds the "
-                f"universe limit {UNIVERSE_LIMIT}"
-            )
+        check_universe(self.members.max_element)
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "GroundSet":

@@ -36,7 +36,7 @@ from .intset import (
     parse_set_text,
     sumset,
 )
-from .topology import TopologyCheck, Violation, check_topology
+from .topology import PAIR_GUARD, TopologyCheck, Violation, check_topology
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,14 @@ class VerificationReport:
 
 
 def _equal_pairs(masks: list[int]) -> list[tuple[int, int]]:
-    """Sorted index pairs i < j with masks[i] == masks[j]."""
+    """Sorted index pairs i < j with masks[i] == masks[j]; more than
+    ``PAIR_GUARD`` of them are refused before any is built."""
     by_mask: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
         by_mask.setdefault(m, []).append(i)
+    count = sum(len(idx) * (len(idx) - 1) // 2 for idx in by_mask.values())
+    if count > PAIR_GUARD:
+        raise DomainError(f"{count} pairs of equal labels, more than {PAIR_GUARD}")
     return sorted(
         pair for idx in by_mask.values() for pair in itertools.combinations(idx, 2)
     )
@@ -178,10 +182,11 @@ def _assert_max_element_facts(l: SetLabeling) -> None:
     {0}-labeled vertex, hence has degree at most one."""
     top = l.ground.max_element
     zero = IntSet((0,))
+    adj = l.graph.adjacency()
     for v, s in enumerate(l.vertex_labels):
         if top not in s:
             continue
-        nbrs = l.graph.neighbors(v)
+        nbrs = adj[v]
         if len(nbrs) > 1 or any(l.vertex_labels[u] != zero for u in nbrs):
             raise RuntimeError(
                 "internal error: accepted labeling contradicts the "

@@ -302,10 +302,9 @@ def find_tiasl(
     candidates = _ground_candidates(bounds)
     workers = _pool_size(threads, len(candidates))
     cert = Certificate()
-    degs = g.degrees()
-    if pendant_prune and n > 0 and min(degs) >= 2:
+    min_deg = min(g.degrees(), default=0)
+    if pendant_prune and min_deg >= 2:
         return SearchOutcome("pruned-by-theorem", None, cert, bounds)
-    min_deg = min(degs) if n else 0
     tasks = [(g, elems, k, min_deg) for elems in candidates]
     with closing(_task_map(_search_one_ground, tasks, workers)) as results:
         for witness, topologies, nodes in results:
@@ -342,9 +341,9 @@ def discrete_admissibility(g: Graph, x: GroundSet) -> AdmissibilityVerdict:
         reason = "order parity" if g.order % 2 == 0 else "order mismatch"
         return AdmissibilityVerdict(False, reason, None)
     degs = g.degrees()
-    best = 0
-    for v in range(g.order):
-        best = max(best, sum(1 for u in g.neighbors(v) if degs[u] == 1))
+    best = max(
+        (sum(1 for u in nbrs if degs[u] == 1) for nbrs in g.adjacency()), default=0
+    )
     if best < 2 ** (s - 1):
         return AdmissibilityVerdict(False, "pendant deficiency", None)
     lab = bijection_match(g, discrete_topology(x))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
+from .graph import Graph
 from .intset import (
     DomainError,
     GroundSet,
@@ -48,6 +49,12 @@ GROUND_SIZE_GUARD = 10
 
 #: Guard for the unrestricted enumeration.
 ENUMERATE_GUARD = 5
+
+#: Most pairs one verifier pass may build: the open pairs of
+#: :func:`check_topology` and the equal-label pairs of the labeling
+#: verifier, each of which may become a reported violation.  It admits the
+#: C(1024, 2) open pairs of the discrete topology on ten points.
+PAIR_GUARD = 2**19
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,8 @@ def check_topology(family: Iterable[IntSet], ground: GroundSet) -> TopologyCheck
     already contains) is a topology of ``ground``: contains the empty set and
     the ground set, every member is a subset of the ground set, and the family
     is closed under pairwise union and intersection.  Violations name the
-    failing axiom and a witnessing set or pair.
+    failing axiom and a witnessing set or pair.  A family of more than
+    ``PAIR_GUARD`` pairs of distinct members is refused before any is built.
     """
     family = list(family)
     violations: list[Violation] = []
@@ -129,6 +137,9 @@ def check_topology(family: Iterable[IntSet], ground: GroundSet) -> TopologyCheck
 
     full = ground.members.mask
     masks = sorted(seen)
+    pairs = len(masks) * (len(masks) - 1) // 2
+    if pairs > PAIR_GUARD:
+        raise DomainError(f"{pairs} pairs of {len(masks)} distinct opens, more than {PAIR_GUARD}")
     if 0 not in seen:
         violations.append(Violation("missing-empty", ()))
     if full not in seen:
@@ -136,16 +147,15 @@ def check_topology(family: Iterable[IntSet], ground: GroundSet) -> TopologyCheck
     for m in masks:
         if m & ~full:
             violations.append(Violation("open-not-subset", (IntSet.from_mask(m),)))
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a | b not in seen:
-                violations.append(
-                    Violation("union-not-open", (IntSet.from_mask(a), IntSet.from_mask(b)))
-                )
-            if a & b not in seen:
-                violations.append(
-                    Violation("intersection-not-open", (IntSet.from_mask(a), IntSet.from_mask(b)))
-                )
+    for a, b in itertools.combinations(masks, 2):
+        if a | b not in seen:
+            violations.append(
+                Violation("union-not-open", (IntSet.from_mask(a), IntSet.from_mask(b)))
+            )
+        if a & b not in seen:
+            violations.append(
+                Violation("intersection-not-open", (IntSet.from_mask(a), IntSet.from_mask(b)))
+            )
     return TopologyCheck(not violations, tuple(violations))
 
 
@@ -437,30 +447,15 @@ def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topolo
 
 
 @dataclass(frozen=True)
-class CompatibilityGraph:
-    """Non-empty opens as nodes; an edge joins two distinct opens whose sumset
-    stays inside the ground set.  Self-pairs are ignored."""
+class CompatibilityGraph(Graph):
+    """Graph on the non-empty opens, vertex i standing for ``nodes[i]``; an
+    edge joins two distinct opens whose sumset stays inside the ground set.
+    Self-pairs are ignored."""
 
     nodes: tuple[IntSet, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
-    def degrees(self) -> tuple[int, ...]:
-        d = [0] * len(self.nodes)
-        for i, j in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return tuple(d)
 
     def degree_of(self, open_set: IntSet) -> int:
         return self.degree(self.nodes.index(open_set))
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(j for e in self.edges if i in e for j in e if j != i)
-        )
 
 
 def compatibility_graph(t: Topology) -> CompatibilityGraph:
@@ -471,7 +466,7 @@ def compatibility_graph(t: Topology) -> CompatibilityGraph:
         for j in range(i + 1, len(nodes)):
             if sumset_mask(a.mask, nodes[j].mask) & ~full == 0:
                 edges.add((i, j))
-    return CompatibilityGraph(nodes, frozenset(edges))
+    return CompatibilityGraph(len(nodes), frozenset(edges), nodes)
 
 
 class MinPendantRequirements(NamedTuple):

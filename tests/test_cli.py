@@ -74,6 +74,37 @@ class TestVerify:
         assert main(["verify", "--format", "g6", str(noext), labels]) == 0
 
 
+    def test_text_output_renders_only_text(self, pan3_files, capsys, monkeypatch):
+        from tiasl import cli
+
+        def refuse(report):
+            raise AssertionError("rendered the JSON form for text output")
+
+        g, l = pan3_files
+        monkeypatch.setattr(cli, "report_to_dict", refuse)
+        assert main(["verify", g, l]) == 0
+        assert "is_tiasl: true" in capsys.readouterr().out
+
+    def test_json_output_renders_only_json(self, pan3_files, capsys, monkeypatch):
+        from tiasl import cli
+
+        def refuse(report):
+            raise AssertionError("rendered the text form for JSON output")
+
+        g, l = pan3_files
+        monkeypatch.setattr(cli, "format_report", refuse)
+        assert main(["verify", "--json", g, l]) == 0
+        assert json.loads(capsys.readouterr().out)["is_tiasl"] is True
+
+    def test_pair_guard_exits_2(self, tmp_path, capsys):
+        g = tmp_path / "empty.edges"
+        g.write_text("1025 0\n")
+        l = tmp_path / "zeros.labels"
+        l.write_text("ground: {0}\n" + "".join(f"v{v}: {{0}}\n" for v in range(1025)))
+        assert main(["verify", str(g), str(l)]) == 2
+        assert capsys.readouterr().err == "error: 524800 pairs of equal labels, more than 524288\n"
+
+
 class TestConstruct:
     def test_pan(self, capsys):
         assert main(["construct", "--family", "pan", "-n", "3"]) == 0

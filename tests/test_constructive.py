@@ -130,6 +130,35 @@ class TestSharedHandleLabeling:
             assert str(exc.value) == message
 
 
+class TestHandleGroundWindow:
+    """A ground set past the universe limit is refused before the graph or
+    any mask is built."""
+
+    @pytest.mark.parametrize(
+        "call,builder,top",
+        [
+            (lambda: label_shovel(10**6, 1), "shovel", 1999997),
+            (lambda: label_pan(300000), "tadpole", 599997),
+            (lambda: label_pan(3, 10**9), "tadpole", 10**9),
+            (lambda: label_tadpole(3, 31, 65), "tadpole", 65),
+        ],
+    )
+    def test_refused_before_building(self, monkeypatch, call, builder, top):
+        from tiasl import constructive
+
+        def refuse(*args):
+            raise AssertionError("built a graph past the universe limit")
+
+        monkeypatch.setattr(constructive, builder, refuse)
+        monkeypatch.setattr(constructive, "_interval", refuse)
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"ground set element {top} exceeds the universe limit 64"
+
+    def test_largest_window_is_built(self):
+        assert label_tadpole(3, 31, 64).ground.max_element == 64
+
+
 class TestPendantGeneric:
     def test_k2_gives_sierpinski(self):
         l = label_any_pendant(path(2))

@@ -1,5 +1,6 @@
 """Labelings and staged verification against a definitional oracle."""
 
+import itertools
 import json
 import random
 
@@ -25,6 +26,8 @@ from tiasl import (
     verify_tiasl,
     verify_tiasi,
 )
+from tiasl.labeling import _equal_pairs
+from tiasl.topology import PAIR_GUARD
 
 from oracles import classify_labeling
 
@@ -32,6 +35,28 @@ from oracles import classify_labeling
 def lab(g, ground_elems, *label_sets):
     ground = GroundSet.from_elements(ground_elems)
     return SetLabeling(g, ground, tuple(IntSet(s) for s in label_sets))
+
+
+class TestPairGuard:
+    """The verifier counts its equal-label pairs before building any."""
+
+    @staticmethod
+    def groups(*sizes):
+        return [m for m, size in enumerate(sizes) for _ in range(size)]
+
+    def test_at_the_bound(self):
+        # C(1024,2) + C(32,2) + C(6,2) + C(2,2) = 2**19
+        masks = self.groups(1024, 32, 6, 2)
+        assert len(_equal_pairs(masks)) == PAIR_GUARD
+
+    def test_one_past_the_bound_builds_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built pairs past the guard")
+
+        monkeypatch.setattr(itertools, "combinations", refuse)
+        message = f"524289 pairs of equal labels, more than {PAIR_GUARD}"
+        with pytest.raises(DomainError, match=message):
+            _equal_pairs(self.groups(1024, 32, 6, 2, 2))
 
 
 class TestSetLabeling:

@@ -7,6 +7,7 @@ import pytest
 from tiasl import (
     ENUMERATE_GUARD,
     DomainError,
+    Graph,
     GroundSet,
     IntSet,
     ParseError,
@@ -20,10 +21,12 @@ from tiasl import (
     indiscrete_topology,
     min_pendant_requirements,
     parse_topology_text,
+    pendant_vertices,
     sierpinski_topology,
     topologies_with_open_count,
 )
 from tiasl.topology import (
+    PAIR_GUARD,
     _abstract_open_masks,
     _labeled_posets,
     _posets_with_up_set_count,
@@ -37,6 +40,7 @@ from oracles import (
     is_topology,
     labeled_posets_reference,
 )
+from oracles import sumset as oracle_sumset
 
 
 def g(*elems):
@@ -97,6 +101,27 @@ class TestCheckTopology:
                 want = is_topology(chosen, {0, 1, 2})
                 got = check_topology([IntSet(s) for s in chosen], ground).ok
                 assert got == want, chosen
+
+
+class TestCheckTopologyPairGuard:
+    """check_topology counts the pairs of distinct opens before building any."""
+
+    def test_at_the_bound(self):
+        x = g(*range(10))
+        assert check_topology(discrete_topology(x).opens, x).ok
+
+    def test_one_past_the_bound_builds_nothing(self, monkeypatch):
+        import itertools
+
+        def refuse(*args):
+            raise AssertionError("built pairs past the guard")
+
+        x = g(*range(10))
+        family = (*discrete_topology(x).opens, IntSet([10]))
+        monkeypatch.setattr(itertools, "combinations", refuse)
+        message = f"524800 pairs of 1025 distinct opens, more than {PAIR_GUARD}"
+        with pytest.raises(DomainError, match=message):
+            check_topology(family, x)
 
 
 class TestTopologyType:
@@ -334,6 +359,33 @@ class TestCompatibility:
         cg = compatibility_graph(chain_topology(2, g(0, 1, 2)))
         i_zero = cg.nodes.index(IntSet([0]))
         assert len(cg.neighbors(i_zero)) == 2
+
+    @pytest.mark.parametrize(
+        "ground", [(0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3)]
+    )
+    def test_against_oracle(self, ground):
+        """Every topology with |X| <= 3: the compatibility graph is a Graph
+        whose edges are the node pairs with A + B inside X."""
+        x = g(*ground)
+        for t in enumerate_topologies(x):
+            cg = compatibility_graph(t)
+            assert isinstance(cg, Graph)
+            assert cg.nodes == t.nonempty_opens and cg.order == len(cg.nodes)
+            sets = [frozenset(o) for o in cg.nodes]
+            expected = {
+                (i, j)
+                for i in range(len(sets))
+                for j in range(i + 1, len(sets))
+                if oracle_sumset(sets[i], sets[j]) <= frozenset(ground)
+            }
+            assert cg.edges == expected
+            degrees = [sum(v in e for e in expected) for v in range(len(sets))]
+            assert cg.degrees() == tuple(degrees)
+            assert [cg.degree_of(o) for o in cg.nodes] == degrees
+            assert pendant_vertices(cg) == tuple(v for v, d in enumerate(degrees) if d == 1)
+            for v in range(cg.order):
+                nbrs = sorted(u for e in expected if v in e for u in e if u != v)
+                assert cg.neighbors(v) == tuple(nbrs)
 
 
 class TestMinPendantRequirements:
