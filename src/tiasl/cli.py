@@ -51,9 +51,8 @@ from .search import (
 )
 from .topology import (
     ENUMERATE_GUARD,
-    compatibility_graph,
+    _pendant_bounds,
     enumerate_topologies,
-    min_pendant_requirements,
     parse_topology_text,
     topologies_with_open_count,
 )
@@ -189,8 +188,7 @@ def _cmd_topologies(args) -> int:
 
 def _cmd_analyze(args) -> int:
     t = parse_topology_text(Path(args.topology).read_text())
-    req = min_pendant_requirements(t)
-    cg = compatibility_graph(t)
+    req, cg = _pendant_bounds(t)
     degrees = [(format_set(o), d) for o, d in zip(cg.nodes, cg.degrees())]
     _emit(
         args,

@@ -53,6 +53,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
         return tuple(self.adjacency()[v])
 
     def adjacency(self) -> list[list[int]]:
@@ -64,9 +65,12 @@ class Graph:
             row.sort()
         return adj
 
-    def degree(self, v: int) -> int:
+    def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
             raise DomainError(f"vertex {v} out of range")
+
+    def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:

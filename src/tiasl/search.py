@@ -2,10 +2,12 @@
 
 ``find_tiasl`` enumerates candidate ground sets X in (|X|, lexicographic)
 order and, for each, streams the topologies on X with exactly n+1 opens
-(n = graph order) through a backtracking vertex/open bijection; topologies
-whose ground-set open no vertex could take are counted, not built.  The
-first hit is returned with a certificate of work done; "exhausted" means no
-TIASL exists *within the given bounds*, never unconditional nonexistence.
+(n = graph order) through a backtracking vertex/open bijection.  Ground sets
+on which no open family could meet the graph's degrees, judged from one
+cached table of compatibility counts per ground set, are counted, not
+walked; so are the topologies whose ground-set open no vertex could take.
+The first hit is returned with a certificate of work done; "exhausted" means
+no TIASL exists *within the given bounds*, never unconditional nonexistence.
 
 Identical inputs and bounds always yield identical outcomes and certificates,
 for any ``threads`` value: workers each exhaust one ground set and results
@@ -20,7 +22,8 @@ import os
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import lru_cache
+from multiprocessing import get_all_start_methods, get_context
 from typing import Iterator
 
 from .constructive import label_any_pendant
@@ -212,28 +215,67 @@ def _ground_candidates(bounds: SearchBounds) -> list[tuple[int, ...]]:
     ]
 
 
-def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, int]):
+def _compatibility_counts(elems: tuple[int, ...]) -> list[int]:
+    """cnt(A) for every non-empty A ⊆ X, at index mask - 1 where bit j of
+    the mask stands for elems[j]: the number of non-empty B ≠ A with
+    A + B ⊆ X.  Such B are the non-empty subsets of
+    Y(A) = {b ∈ X : b + A ⊆ X}, so cnt(A) = 2^|Y(A)| - 1 - [A ⊆ Y(A)], and
+    Y(A) = Y(A - {a}) ∩ (X - a) for the lowest member a of A gives every Y
+    from one found before it, with no sumsets."""
+    full = (1 << len(elems)) - 1
+    members = set(elems)
+    shifted = [
+        sum(1 << j for j, b in enumerate(elems) if a + b in members) for a in elems
+    ]
+    y = [full] * (full + 1)
+    counts = []
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        ym = y[mask] = y[mask ^ low] & shifted[low.bit_length() - 1]
+        counts.append((1 << ym.bit_count()) - 1 - (mask & ~ym == 0))
+    return counts
+
+
+@lru_cache(maxsize=GROUND_SETS_GUARD)
+def _compatibility_degree_caps(elems: tuple[int, ...]) -> tuple[int, ...]:
+    """The largest OPEN_COUNT_GUARD - 2 values of cnt(A) over the proper
+    non-empty A ⊆ X, descending: the n - 1 a search of order n reads, for
+    any order the search covers.  Kept for the ground sets of one window."""
+    proper = sorted(_compatibility_counts(elems)[:-1], reverse=True)
+    return tuple(proper[: OPEN_COUNT_GUARD - 2])
+
+
+def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, tuple[int, ...]]):
     """Exhaust one ground set: returns (witness or None, topologies tried,
     bijection nodes), with "tried" counting every topology of the stream up
-    to the hit, or the whole stream.
+    to the hit, or the whole stream.  ``degs`` are the graph's degrees in
+    descending order.
 
-    The ground-set open's only possible compatibility partner is {0}, so
-    unless {0} is open no vertex of degree >= 1 can take it.  This is the
-    degree prune applied to one open; it is definitional, not the pendant
-    theorem.  So the route is chosen once, from the minimum degree: with
-    min_deg >= 2 (or min_deg >= 1 and 0 not in X) no topology can be used
-    and the stream is counted in closed form; with min_deg == 1 only the
-    topologies with {0} open are built, each at its index in the stream;
-    with min_deg == 0 every topology is built.  The same topologies reach
-    the backtracker in the same order as in a full stream, so the counters
-    equal those of building every topology and skipping the unusable ones."""
-    g, elems, k, min_deg = args
+    The ground set is refused, and its stream counted in closed form, when
+    no family on X could pass the degree reject of :func:`bijection_match`.
+    An open A is compatible with at most cnt(A) others (see
+    :func:`_compatibility_counts`), so a family's sorted compatibility degrees
+    are at most, position by position, cnt(X) and the n - 1 largest cnt(A)
+    over the proper non-empty A ⊆ X, sorted together.  The ground-set open's
+    only possible partner is {0}, so cnt(X) <= [0 ∈ X], while with 0 ∈ X
+    every proper A has the partner {0}: cnt(X) takes the last position,
+    tested first (the empty graph, having no families, is refused there
+    too).  Comparing one more cnt(A) then never refuses more, and capping
+    cnt(A) at n - 1 would change nothing, as no degree exceeds n - 1.  Past
+    both tests, with minimum degree 1 only the topologies with {0} open are
+    built, each at its index in the stream, and with an isolated vertex
+    every topology is built.  The same topologies reach the backtracker in
+    the same order as in a full stream, so the counters equal those of
+    building every topology and skipping the unusable ones."""
+    g, elems, k, degs = args
     s = len(elems)
-    if 2**s < k:
+    if k > 1 << s:
         return None, 0, 0
-    if min_deg >= 2 or (min_deg == 1 and elems[0] != 0):
+    if not degs or degs[-1] > (elems[0] == 0):
         return None, count_open_masks(s, k), 0
-    if min_deg == 1:
+    if any(d > c for d, c in zip(degs, _compatibility_degree_caps(elems))):
+        return None, count_open_masks(s, k), 0
+    if degs[-1] == 1:
         families = _zero_open_masks(s, k)
     else:
         families = enumerate(_abstract_open_masks(s, k))
@@ -262,13 +304,14 @@ def _pool_size(threads: int, tasks: int) -> int:
 
 def _task_map(fn, tasks: list, workers: int) -> Iterator:
     """``fn`` over ``tasks``, results in task order: serially for one worker
-    (or none), else on a ``fork`` pool of ``workers`` processes.  Closing the
+    (or none), else on a pool of ``workers`` processes, started by ``fork``
+    where the platform has it and by ``spawn`` otherwise.  Closing the
     generator early cancels the tasks not yet started and shuts the pool
     down before ``close`` returns."""
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    ctx = get_context("fork")
+    ctx = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         yield from pool.map(fn, tasks)
 
@@ -302,10 +345,10 @@ def find_tiasl(
     candidates = _ground_candidates(bounds)
     workers = _pool_size(threads, len(candidates))
     cert = Certificate()
-    min_deg = min(g.degrees(), default=0)
-    if pendant_prune and min_deg >= 2:
+    degs = tuple(sorted(g.degrees(), reverse=True))
+    if pendant_prune and degs and degs[-1] >= 2:
         return SearchOutcome("pruned-by-theorem", None, cert, bounds)
-    tasks = [(g, elems, k, min_deg) for elems in candidates]
+    tasks = [(g, elems, k, degs) for elems in candidates]
     with closing(_task_map(_search_one_ground, tasks, workers)) as results:
         for witness, topologies, nodes in results:
             cert.ground_sets_tried += 1

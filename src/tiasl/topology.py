@@ -479,6 +479,13 @@ def min_pendant_requirements(t: Topology) -> MinPendantRequirements:
     the number of pendant edges incident on the {0}-labeled vertex (opens
     containing max of the ground set) and the number of pendant vertices
     (opens compatible with at most one other open)."""
+    return _pendant_bounds(t)[0]
+
+
+def _pendant_bounds(
+    t: Topology,
+) -> tuple[MinPendantRequirements, CompatibilityGraph]:
+    """:func:`min_pendant_requirements` and the compatibility graph it read."""
     if IntSet((0,)) not in t.opens:
         raise DomainError(
             "{0} is not open, so no graph carries this topology via a TIASL"
@@ -488,7 +495,7 @@ def min_pendant_requirements(t: Topology) -> MinPendantRequirements:
     degrees = cg.degrees()
     edges_on_zero = sum(1 for o in cg.nodes if l in o)
     pendants = sum(1 for d in degrees if d <= 1)
-    return MinPendantRequirements(edges_on_zero, pendants)
+    return MinPendantRequirements(edges_on_zero, pendants), cg
 
 
 # ---------------------------------------------------------------------------

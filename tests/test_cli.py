@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tiasl import emit_graph6, format_edge_list, pan, cycle, path
+from tiasl import Graph, complete, emit_graph6, format_edge_list, pan, cycle, path
+from tiasl import topology
 from tiasl.cli import main
 
 
@@ -268,6 +269,19 @@ class TestSearch:
         assert main(["search", str(f), "--threads", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_tsin_threads_same_output(self, tmp_path, capsys, form):
+        """A pendant graph and one with an isolated vertex, whose windows
+        hold ground sets the search refuses as well as ones it walks."""
+        k4_plus_one = Graph.from_edges(5, sorted(complete(4).edges))
+        for i, g in enumerate((pan(5), k4_plus_one)):
+            f = tmp_path / f"g{i}.edges"
+            f.write_text(format_edge_list(g))
+            assert main(["search", str(f), "--tsin", *form]) == 0
+            serial = capsys.readouterr().out
+            assert main(["search", str(f), "--tsin", "--threads", "2", *form]) == 0
+            assert capsys.readouterr().out == serial
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, c4_file, capsys, threads):
         assert main(["search", c4_file, "--threads", threads]) == 2
@@ -325,6 +339,29 @@ class TestAnalyze:
         f.write_text("ground: {0,1}\n{}\n{0,1}\n")
         assert main(["analyze", str(f)]) == 2
         assert "{0} is not open" in capsys.readouterr().err
+
+    def test_builds_compatibility_graph_once(
+        self, chain_topo_file, tmp_path, monkeypatch, capsys
+    ):
+        """Counted at the constructor, which every route to a compatibility
+        graph goes through."""
+        built = []
+        real = topology.CompatibilityGraph
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(topology, "CompatibilityGraph", counted)
+        for form in ([], ["--json"]):
+            built.clear()
+            assert main(["analyze", chain_topo_file, *form]) == 0
+            assert len(built) == 1
+        f = tmp_path / "indisc.topo"
+        f.write_text("ground: {0,1}\n{}\n{0,1}\n")
+        built.clear()
+        assert main(["analyze", str(f)]) == 2
+        assert built == []
 
 
 class TestSweep:

@@ -56,6 +56,15 @@ class TestGraphType:
         with pytest.raises(DomainError):
             g.degree(9)
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_vertex_out_of_range(self, v):
+        g = star(3)
+        assert g.neighbors(3) == (0,)
+        with pytest.raises(DomainError, match=f"vertex {v} out of range"):
+            g.neighbors(v)
+        with pytest.raises(DomainError, match=f"vertex {v} out of range"):
+            g.degree(v)
+
     def test_pendants_isolated_connected(self):
         g = path(4)
         assert pendant_vertices(g) == (0, 3)

@@ -38,10 +38,18 @@ from tiasl import (
 from tiasl import search
 from tiasl.intset import sumset_mask
 from tiasl.search import (
+    _compatibility_counts,
+    _compatibility_degree_caps,
     _ground_candidates,
     _pool_size,
     _search_one_ground,
     _task_map,
+)
+from tiasl.topology import (
+    OPEN_COUNT_GUARD,
+    _abstract_open_masks,
+    _topology_from_masks,
+    translate_masks,
 )
 
 from oracles import (
@@ -268,13 +276,11 @@ class TestCountedCertificates:
         for g in self.GRAPHS:
             b = default_bounds(g)
             bounds = SearchBounds(b.max_element, b.max_ground_size, require_zero)
-            min_deg = min(g.degrees())
+            degs = tuple(sorted(g.degrees(), reverse=True))
             for elems in _ground_candidates(bounds):
-                task = (g, elems, g.order + 1, min_deg)
-                assert _search_one_ground(task) == search_one_ground_reference(task), (
-                    g,
-                    elems,
-                )
+                got = _search_one_ground((g, elems, g.order + 1, degs))
+                task = (g, elems, g.order + 1, degs[-1])
+                assert got == search_one_ground_reference(task), (g, elems)
             out = find_tiasl(g, bounds, pendant_prune=False)
             witness, counters = find_tiasl_reference(g, bounds)
             assert _counters(out) == counters
@@ -293,6 +299,127 @@ class TestCountedCertificates:
             assert _counters(out) == counters
             assert out.witness == witness
             assert tsin == len(witness.topology.ground)
+
+
+def _compatible_partners(elems, a):
+    """Brute force: the non-empty B ⊆ X, B ≠ A, with A + B ⊆ X."""
+    members = set(elems)
+    return sum(
+        1
+        for r in range(1, len(elems) + 1)
+        for b in combinations(elems, r)
+        if set(b) != set(a) and all(x + y in members for x in a for y in b)
+    )
+
+
+def _dominance_refuses(degs, elems):
+    """The ground-set prune as first stated: the descending degrees against
+    cnt(X) and the n - 1 largest min(cnt(A), n - 1) over the proper
+    non-empty A ⊆ X, sorted together."""
+    n = len(degs)
+    counts = _compatibility_counts(elems)
+    slots = sorted((min(c, n - 1) for c in counts[:-1]), reverse=True)[: n - 1]
+    slots = sorted(slots + [counts[-1]], reverse=True)
+    return any(d > c for d, c in zip(degs, slots))
+
+
+def _tsin_pool():
+    """The 61 connected graphs of order 5-6 with a pendant vertex, and the 27
+    connected graphs of order 4-5 plus an isolated vertex."""
+    pendant = [
+        g for g in connected_graph_catalog(6) if g.order >= 5 and pendant_vertices(g)
+    ]
+    isolated = [_plus_isolated(g) for g in connected_graph_catalog(5) if g.order >= 4]
+    return pendant + isolated
+
+
+class TestGroundSetPrune:
+    """The ground-set dominance prune: a ground set on which no family can
+    pass the degree reject of bijection_match is counted, not walked."""
+
+    def test_counts_match_brute_force(self):
+        for size in range(1, 6):
+            for elems in combinations(range(8), size):
+                counts = _compatibility_counts(elems)
+                assert len(counts) == 2**size - 1
+                for mask in range(1, 2**size):
+                    a = [e for j, e in enumerate(elems) if mask >> j & 1]
+                    assert counts[mask - 1] == _compatible_partners(elems, a), (
+                        elems,
+                        a,
+                    )
+                # The ground-set slot of the search: [0 in X, |X| > 1].
+                assert counts[-1] == int(elems[0] == 0 and size > 1)
+                caps = _compatibility_degree_caps(elems)
+                assert len(caps) == min(OPEN_COUNT_GUARD - 2, 2**size - 2)
+                assert caps == tuple(sorted(counts[:-1], reverse=True)[: len(caps)])
+
+    def test_refused_ground_sets_have_no_usable_family(self, monkeypatch):
+        """The search refuses exactly where the prune as first stated does,
+        and every family on a refused ground set gets None from
+        bijection_match with no node visited.  Where the minimum degree
+        exceeds [0 in X] (the ground-set slot), the brute-force count of X's
+        partners shows it: X is open in every family and can be compatible
+        with at most that many others, which is below every vertex degree.
+        Walking those 6.9 million families instead would take minutes."""
+        walked = []
+
+        def walk(s, k):
+            walked.append((s, k))
+            return ()
+
+        monkeypatch.setattr(search, "_zero_open_masks", walk)
+        monkeypatch.setattr(search, "_abstract_open_masks", walk)
+        graphs = list(connected_graph_catalog(5)) + [
+            _plus_isolated(g) for g in connected_graph_catalog(3)
+        ]
+        checked = set()
+        refused = {"slot": 0, "dominance": 0}
+        for g in graphs:
+            degs = tuple(sorted(g.degrees(), reverse=True))
+            k = g.order + 1
+            b = default_bounds(g)
+            for require_zero in (True, False):
+                bounds = SearchBounds(b.max_element, b.max_ground_size, require_zero)
+                for elems in _ground_candidates(bounds):
+                    walked.clear()
+                    _search_one_ground((g, elems, k, degs))
+                    if 2 ** len(elems) < k:
+                        continue
+                    assert (not walked) == _dominance_refuses(degs, elems)
+                    if walked or (degs, elems) in checked:
+                        continue
+                    checked.add((degs, elems))
+                    if degs[-1] > (elems[0] == 0):
+                        refused["slot"] += 1
+                        assert _compatible_partners(elems, elems) < degs[-1]
+                        continue
+                    refused["dominance"] += 1
+                    x = GroundSet(IntSet(elems))
+                    for family in _abstract_open_masks(len(elems), k):
+                        t = _topology_from_masks(x, translate_masks(family, x))
+                        nodes = [0]
+                        assert bijection_match(g, t, _nodes=nodes) is None, (g, t)
+                        assert nodes == [0]
+        assert refused == {"slot": 3270, "dominance": 421}
+
+    def test_pool_reaches_bijection_less_often(self, monkeypatch):
+        """Over the benchmark's tsin pool the search calls bijection_match
+        13,877 times without the prune; the certificates stay the same."""
+        calls = [0]
+        real = search.bijection_match
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "bijection_match", counted)
+        totals = [0, 0, 0]
+        for g in _tsin_pool():
+            _, out = topological_set_indexing_number(g)
+            totals = [t + c for t, c in zip(totals, _counters(out))]
+        assert calls[0] <= 1730
+        assert totals == [4158, 27081, 3368]
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +508,21 @@ class TestTaskMap:
         assert next(results) == 50
         results.close()
         assert set(multiprocessing.active_children()) <= before
+
+
+    def test_spawn_where_fork_is_unavailable(self, monkeypatch):
+        methods = []
+
+        def recording(method):
+            methods.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(search, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(search, "get_context", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        g = _tsin_pool()[0]
+        assert find_tiasl(g, threads=2) == find_tiasl(g)
+        assert methods == ["spawn"]
 
 
 class TestIndexingNumber:
