@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .constructive import (
@@ -230,7 +231,10 @@ def _cmd_sweep(args) -> int:
     return 0 if not report.inconsistencies else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs some twenty times a parse."""
     p = argparse.ArgumentParser(
         prog="tiasl",
         description="Verify, construct and search for topological "
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-ground-size", type=int, help="largest |X| (default 2n-2)")
     sp.add_argument("--tsin", action="store_true", help="report the minimal |X|")
     sp.add_argument("--no-prune", action="store_true", help="disable the pendant theorem prune")
-    sp.add_argument("--threads", type=int, default=1, help="parallel ground sets")
+    sp.add_argument("--threads", type=int, default=1, help="must be >= 1; runs in one process")
     add_common(sp, graph_arg=True)
     sp.set_defaults(func=_cmd_search)
 
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, required=True, help="largest graph order (<= 6)")
     sp.add_argument("--max-element", type=int, help="override the 2n-3 search bound")
     sp.add_argument("--max-ground-size", type=int, help="override the 2n-2 size bound")
-    sp.add_argument("--threads", type=int, default=1, help="parallel graphs")
+    sp.add_argument("--threads", type=int, default=1, help="must be >= 1; runs in one process")
     add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,7 +273,10 @@ def parse_edge_list(text: str) -> Graph:
 # connected catalog
 
 
-def _connected_graphs_of_order(n: int):
+@lru_cache(maxsize=CATALOG_GUARD)
+def _connected_graphs_of_order(n: int) -> tuple[Graph, ...]:
+    """The catalog's graphs of order n, built once per process (996 graphs
+    through order 7) since the catalog never changes."""
     pairs = list(itertools.combinations(range(n), 2))
     num_pairs = len(pairs)
     index = {p: b for b, p in enumerate(pairs)}
@@ -287,6 +291,7 @@ def _connected_graphs_of_order(n: int):
             shift[pi, b] = 1 << index[q]
     seen = bytearray(1 << num_pairs)
     seen_view = np.frombuffer(seen, dtype=np.uint8)
+    graphs = []
     m = 0
     while m != -1:
         slots = [b for b in range(num_pairs) if m >> b & 1]
@@ -299,8 +304,9 @@ def _connected_graphs_of_order(n: int):
             seen[0] = 1
         g = Graph.from_edges(n, (pairs[b] for b in slots))
         if is_connected(g):
-            yield g
+            graphs.append(g)
         m = seen.find(0, m)
+    return tuple(graphs)
 
 
 def connected_graph_catalog(max_n: int):

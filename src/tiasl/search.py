@@ -9,26 +9,21 @@ walked; so are the topologies whose ground-set open no vertex could take.
 The first hit is returned with a certificate of work done; "exhausted" means
 no TIASL exists *within the given bounds*, never unconditional nonexistence.
 
-Identical inputs and bounds always yield identical outcomes and certificates,
-for any ``threads`` value: workers each exhaust one ground set and results
-are consumed in the serial order.
+Identical inputs and bounds always yield identical outcomes and certificates.
+Every search and sweep runs in one process, one ground set (or one graph)
+after another; ``threads`` is accepted and range-checked, and changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from contextlib import closing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_all_start_methods, get_context
-from typing import Iterator
 
 from .constructive import label_any_pendant
 from .graph import Graph, connected_graph_catalog, emit_graph6, pendant_vertices
-from .intset import DomainError, GroundSet, IntSet, sumset_mask
+from .intset import DomainError, GroundSet, IntSet, check_universe, sumset_mask
 from .labeling import SetLabeling, format_labeling, verify_tiasl
 from .topology import (
     GROUND_SIZE_GUARD,
@@ -197,9 +192,11 @@ def bijection_match(g: Graph, t: Topology, *, _nodes: list[int] | None = None) -
 
 def _ground_candidates(bounds: SearchBounds) -> list[tuple[int, ...]]:
     """Candidate ground sets as sorted element tuples, ordered by size then
-    lexicographically.  The window is counted before any tuple is built, and
-    one of more than GROUND_SETS_GUARD ground sets is refused."""
+    lexicographically.  A window reaching past UNIVERSE_LIMIT is refused
+    first; then it is counted before any tuple is built, and one of more
+    than GROUND_SETS_GUARD ground sets is refused."""
     top = bounds.max_element
+    check_universe(top)
     fixed = (0,) if bounds.require_zero else ()
     pool = range(len(fixed), top + 1)
     sizes = range(1, min(bounds.max_ground_size, top + 1) + 1)
@@ -293,27 +290,9 @@ def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, tuple[int, ...]]
     return None, count_open_masks(s, k), nodes[0]
 
 
-def _pool_size(threads: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` independent tasks: at most ``threads``,
-    the CPU count, and the number of tasks, since a process pool starts all
-    its workers up front.  1 means run serially."""
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    return min(threads, os.cpu_count() or 1, tasks)
-
-
-def _task_map(fn, tasks: list, workers: int) -> Iterator:
-    """``fn`` over ``tasks``, results in task order: serially for one worker
-    (or none), else on a pool of ``workers`` processes, started by ``fork``
-    where the platform has it and by ``spawn`` otherwise.  Closing the
-    generator early cancels the tasks not yet started and shuts the pool
-    down before ``close`` returns."""
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    ctx = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        yield from pool.map(fn, tasks)
 
 
 def find_tiasl(
@@ -328,7 +307,8 @@ def find_tiasl(
     With ``pendant_prune`` on, a graph of minimum degree >= 2 (no pendant
     and no isolated vertex) is refused outright: any TIASL would put the
     ground set on a vertex of degree <= 1.  Disable it to make exhaustion
-    checks definitional.
+    checks definitional.  ``threads`` must be at least 1; the ground sets
+    are searched one after another in this process whatever its value.
     """
     if bounds is None:
         bounds = default_bounds(g)
@@ -343,19 +323,18 @@ def find_tiasl(
             f"search covers ground sets of size <= {GROUND_SIZE_GUARD}"
         )
     candidates = _ground_candidates(bounds)
-    workers = _pool_size(threads, len(candidates))
+    _check_threads(threads)
     cert = Certificate()
     degs = tuple(sorted(g.degrees(), reverse=True))
     if pendant_prune and degs and degs[-1] >= 2:
         return SearchOutcome("pruned-by-theorem", None, cert, bounds)
-    tasks = [(g, elems, k, degs) for elems in candidates]
-    with closing(_task_map(_search_one_ground, tasks, workers)) as results:
-        for witness, topologies, nodes in results:
-            cert.ground_sets_tried += 1
-            cert.topologies_tried += topologies
-            cert.bijection_nodes += nodes
-            if witness is not None:
-                return SearchOutcome("found", witness, cert, bounds)
+    for elems in candidates:
+        witness, topologies, nodes = _search_one_ground((g, elems, k, degs))
+        cert.ground_sets_tried += 1
+        cert.topologies_tried += topologies
+        cert.bijection_nodes += nodes
+        if witness is not None:
+            return SearchOutcome("found", witness, cert, bounds)
     return SearchOutcome("exhausted", None, cert, bounds)
 
 
@@ -424,12 +403,13 @@ class SweepReport:
         return tuple(e for e in self.entries if not e.consistent)
 
 
-def _sweep_one(args: tuple[Graph, int | None, int | None]) -> SweepEntry:
+def _sweep_one(
+    g: Graph, max_element: int | None, max_ground_size: int | None
+) -> SweepEntry:
     """Check one graph against the pendant characterization: pendant graphs
     get the explicit construction, which raises unless it verifies;
     pendant-free graphs must exhaust an unpruned search over elements up to
     2n-3 (or the given overrides)."""
-    g, max_element, max_ground_size = args
     g6 = emit_graph6(g)
     pendants = len(pendant_vertices(g))
     if pendants:
@@ -466,15 +446,19 @@ def theorem_sweep(
     """Exercise the pendant characterization over every connected graph of
     order 1..max_n (max_n <= 6): each entry records whether the graph was
     labeled by the explicit construction or exhausted by the unpruned search.
-    Any other disposition is an inconsistency; a failed construction raises."""
+    Any other disposition is an inconsistency; a failed construction raises.
+    ``threads`` must be at least 1; the graphs are checked one after another
+    in this process whatever its value."""
     if not 1 <= max_n <= OPEN_COUNT_GUARD - 1:
         raise DomainError(
             f"sweep covers orders 1..{OPEN_COUNT_GUARD - 1}, got {max_n}"
         )
-    graphs = list(connected_graph_catalog(max_n))
-    tasks = [(g, max_element, max_ground_size) for g in graphs]
-    entries = _task_map(_sweep_one, tasks, _pool_size(threads, len(tasks)))
-    return SweepReport(max_n, tuple(entries))
+    _check_threads(threads)
+    entries = tuple(
+        _sweep_one(g, max_element, max_ground_size)
+        for g in connected_graph_catalog(max_n)
+    )
+    return SweepReport(max_n, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from tiasl import Graph, complete, emit_graph6, format_edge_list, pan, cycle, path
 from tiasl import topology
 from tiasl.cli import main
+
+#: Largest elements of search windows that no ground set may hold.
+PAST_THE_UNIVERSE = pytest.mark.parametrize(
+    "top", [65, 2**63, int("9" * 500)], ids=["65", "2**63", "500-digits"]
+)
 
 
 @pytest.fixture
@@ -242,6 +248,23 @@ class TestSearch:
             "error: search window holds 17784019483 ground sets, more than 65536\n"
         )
 
+    @PAST_THE_UNIVERSE
+    def test_window_past_the_universe_exit_2(self, tmp_path, capsys, top):
+        f = tmp_path / "p3.edges"
+        f.write_text(format_edge_list(path(3)))
+        assert main(["search", str(f), "--max-element", str(top)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ground set element {top} exceeds the universe limit 64\n"
+        )
+
+    def test_window_up_to_the_universe_runs(self, tmp_path, capsys):
+        f = tmp_path / "p3.edges"
+        f.write_text(format_edge_list(path(3)))
+        assert main(["search", str(f), "--max-element", "64", "--tsin"]) == 0
+        assert capsys.readouterr().out.endswith("tsin: 2\n")
+
     def test_exhausted_exit_1(self, c4_file, capsys):
         assert (
             main(
@@ -388,6 +411,20 @@ class TestSweep:
         assert captured.err.startswith("error:") and "threads" in captured.err
 
 
+    @PAST_THE_UNIVERSE
+    def test_window_past_the_universe_exit_2(self, capsys, top):
+        assert main(["sweep", "--max-n", "3", "--max-element", str(top)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ground set element {top} exceeds the universe limit 64\n"
+        )
+
+    def test_window_up_to_the_universe_runs(self, capsys):
+        argv = ["sweep", "--max-n", "3", "--max-element", "64", "--max-ground-size", "2"]
+        assert main(argv) == 1  # the widened window labels K1: one inconsistency
+        assert "Bw  order=3 size=3 pendants=0 exhausted" in capsys.readouterr().out
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -402,6 +439,32 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        assert main(["sweep", "--max-n", "2"]) == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["sweep", "--max-n", "2"]) == 0
+        assert built == []
+
+    def test_usage_error_leaves_it_unchanged(self, tmp_path, capsys):
+        f = tmp_path / "p4.edges"
+        f.write_text(format_edge_list(path(4)))
+        request = ["search", str(f), "--tsin", "--json"]
+        assert main(request) == 0
+        first = capsys.readouterr()
+        assert main(["search", str(f), "--max-element", "x", "--json"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(request) == 0
+        assert capsys.readouterr() == first
 
 
 class TestUsageErrors:

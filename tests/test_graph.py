@@ -256,6 +256,22 @@ class TestCatalog:
         with pytest.raises(DomainError):
             list(connected_graph_catalog(0))
 
+    def test_each_order_built_once(self, monkeypatch):
+        from tiasl import graph
+
+        graph._connected_graphs_of_order.cache_clear()
+        first = list(connected_graph_catalog(5))
+        calls = []
+        original = Graph.from_edges.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+        assert list(connected_graph_catalog(5)) == first
+        assert calls == []
+
     def test_order_stable_and_members_connected(self):
         graphs = list(connected_graph_catalog(5))
         codes = [emit_graph6(g) for g in graphs]

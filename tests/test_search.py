@@ -1,8 +1,9 @@
 """Bounded exhaustive search, bijection matching, admissibility, sweep."""
 
-import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -41,9 +42,7 @@ from tiasl.search import (
     _compatibility_counts,
     _compatibility_degree_caps,
     _ground_candidates,
-    _pool_size,
     _search_one_ground,
-    _task_map,
 )
 from tiasl.topology import (
     OPEN_COUNT_GUARD,
@@ -234,6 +233,13 @@ class TestFindTiasl:
             find_tiasl(path(3), SearchBounds(60, 10))
         with pytest.raises(DomainError, match=f"more than {search.GROUND_SETS_GUARD}"):
             _ground_candidates(SearchBounds(60, 10, require_zero=False))
+
+    def test_window_past_the_universe_refused_before_counting(self):
+        with pytest.raises(DomainError, match="65 exceeds the universe limit 64"):
+            _ground_candidates(SearchBounds(65, 2))
+        with pytest.raises(DomainError, match="universe limit"):
+            _ground_candidates(SearchBounds(10**500, 2, require_zero=False))
+        assert _ground_candidates(SearchBounds(64, 1, require_zero=False))[-1] == (64,)
 
     def test_ground_set_count_guard_boundary(self):
         """{0} plus any subset of {1..16} is exactly 2**16 ground sets."""
@@ -474,55 +480,47 @@ class TestSearchAgainstOracles:
                 assert out.witness.topology.ground.members.elements == want, g
 
 
-class TestPoolSize:
-    def test_clamped_by_cpus_and_tasks(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _pool_size(100_000, 10**9) == 64
-        assert _pool_size(100_000, 3) == 3
-        assert _pool_size(2, 10**9) == 2
-        assert _pool_size(1, 10**9) == 1
-        assert _pool_size(8, 0) == 0
-
-    def test_unknown_cpu_count_means_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _pool_size(100_000, 10**9) == 1
-
+class TestThreads:
     @pytest.mark.parametrize("threads", [0, -1, -100_000])
     def test_rejects_below_one(self, threads):
-        with pytest.raises(DomainError):
-            _pool_size(threads, 10)
-        with pytest.raises(DomainError):
+        message = f"threads must be >= 1, got {threads}"
+        with pytest.raises(DomainError, match=message):
             find_tiasl(path(2), threads=threads)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             theorem_sweep(2, threads=threads)
 
+    def test_checked_after_the_window_and_before_the_prune(self):
+        with pytest.raises(DomainError, match="universe limit"):
+            find_tiasl(path(2), SearchBounds(65, 2), threads=0)
+        with pytest.raises(DomainError, match="threads"):
+            find_tiasl(cycle(4), threads=0)
+        with pytest.raises(DomainError, match="sweep covers"):
+            theorem_sweep(0, threads=0)
 
-class TestTaskMap:
-    @pytest.mark.parametrize("workers", [0, 1, 2])
-    def test_results_in_task_order(self, workers):
-        assert list(_task_map(abs, [-3, 1, -2, 0], workers)) == [3, 1, 2, 0]
+    def test_no_process_pool_is_imported(self, tmp_path):
+        """A search and a sweep under ``--threads 2`` run in the calling
+        process, so a fresh interpreter never imports a process pool."""
+        from tiasl import format_edge_list
 
-    def test_close_after_first_result_stops_the_pool(self):
-        before = set(multiprocessing.active_children())
-        results = _task_map(abs, list(range(-50, 0)), 2)
-        assert next(results) == 50
-        results.close()
-        assert set(multiprocessing.active_children()) <= before
-
-
-    def test_spawn_where_fork_is_unavailable(self, monkeypatch):
-        methods = []
-
-        def recording(method):
-            methods.append(method)
-            return multiprocessing.get_context(method)
-
-        monkeypatch.setattr(search, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(search, "get_context", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        g = _tsin_pool()[0]
-        assert find_tiasl(g, threads=2) == find_tiasl(g)
-        assert methods == ["spawn"]
+        graph = tmp_path / "pan4.edges"
+        graph.write_text(format_edge_list(pan(4)))
+        script = (
+            "import sys\n"
+            "from tiasl.cli import main\n"
+            f"main(['search', {str(graph)!r}, '--tsin', '--threads', '2'])\n"
+            "main(['sweep', '--max-n', '4', '--threads', '2'])\n"
+            "pool = ('multiprocessing', 'concurrent.futures')\n"
+            "print('loaded:', [m for m in pool if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert "pendants=0 exhausted" in run.stdout and "tsin: 4" in run.stdout
+        assert run.stdout.splitlines()[-1] == "loaded: []"
 
 
 class TestIndexingNumber:
