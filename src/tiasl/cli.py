@@ -97,6 +97,11 @@ def _emit(args, payload, text) -> None:
         print(out, end="" if out.endswith("\n") else "\n")
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise DomainError(f"threads must be >= 1, got {args.threads}")
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.format)
     ground, mapping = parse_labeling_text(Path(args.labels).read_text())
@@ -155,8 +160,9 @@ def _cmd_search(args) -> int:
         bounds = replace(bounds, max_element=args.max_element)
     if args.max_ground_size is not None:
         bounds = replace(bounds, max_ground_size=args.max_ground_size)
+    _check_threads(args)
     value, outcome = topological_set_indexing_number(
-        g, bounds, pendant_prune=not args.no_prune, threads=args.threads
+        g, bounds, pendant_prune=not args.no_prune
     )
     tsin = {"tsin": value} if args.tsin else {}
     tail = f"tsin: {'-' if value is None else value}\n" if args.tsin else ""
@@ -221,11 +227,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_threads(args)
     report = theorem_sweep(
-        args.max_n,
-        max_element=args.max_element,
-        max_ground_size=args.max_ground_size,
-        threads=args.threads,
+        args.max_n, max_element=args.max_element, max_ground_size=args.max_ground_size
     )
     _emit(args, lambda: sweep_report_to_dict(report), lambda: format_sweep_report(report))
     return 0 if not report.inconsistencies else 1

@@ -9,8 +9,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .intset import DomainError, ParseError, numbered_lines, parse_decimal
 
 #: The catalog marks whole permutation orbits, so n! times the number of
@@ -277,6 +275,8 @@ def parse_edge_list(text: str) -> Graph:
 def _connected_graphs_of_order(n: int) -> tuple[Graph, ...]:
     """The catalog's graphs of order n, built once per process (996 graphs
     through order 7) since the catalog never changes."""
+    import numpy as np  # here, not at the top: only orbit marking needs it
+
     pairs = list(itertools.combinations(range(n), 2))
     num_pairs = len(pairs)
     index = {p: b for b, p in enumerate(pairs)}

@@ -10,8 +10,8 @@ The first hit is returned with a certificate of work done; "exhausted" means
 no TIASL exists *within the given bounds*, never unconditional nonexistence.
 
 Identical inputs and bounds always yield identical outcomes and certificates.
-Every search and sweep runs in one process, one ground set (or one graph)
-after another; ``threads`` is accepted and range-checked, and changes nothing.
+Every search and sweep runs in the calling process, one ground set (or one
+graph) after another.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def default_bounds(g: Graph) -> SearchBounds:
     return SearchBounds(max(2 * n - 3, 0), max(2 * n - 2, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Work counters: every enumerated ground set, every topology with n+1
     opens on those ground sets up to the hit (built, or counted in closed
@@ -242,11 +242,11 @@ def _compatibility_degree_caps(elems: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(proper[: OPEN_COUNT_GUARD - 2])
 
 
-def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, tuple[int, ...]]):
-    """Exhaust one ground set: returns (witness or None, topologies tried,
-    bijection nodes), with "tried" counting every topology of the stream up
-    to the hit, or the whole stream.  ``degs`` are the graph's degrees in
-    descending order.
+def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
+    """Exhaust one ground set for the topologies with n + 1 opens: returns
+    (witness or None, topologies tried, bijection nodes), with "tried"
+    counting every topology of the stream up to the hit, or the whole
+    stream.  ``degs`` are the graph's degrees in descending order.
 
     The ground set is refused, and its stream counted in closed form, when
     no family on X could pass the degree reject of :func:`bijection_match`.
@@ -264,7 +264,7 @@ def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, tuple[int, ...]]
     every topology is built.  The same topologies reach the backtracker in
     the same order as in a full stream, so the counters equal those of
     building every topology and skipping the unusable ones."""
-    g, elems, k, degs = args
+    k = len(degs) + 1
     s = len(elems)
     if k > 1 << s:
         return None, 0, 0
@@ -290,31 +290,23 @@ def _search_one_ground(args: tuple[Graph, tuple[int, ...], int, tuple[int, ...]]
     return None, count_open_masks(s, k), nodes[0]
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-
-
 def find_tiasl(
     g: Graph,
     bounds: SearchBounds | None = None,
     *,
     pendant_prune: bool = True,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Search the bounded window for a TIASL of ``g``.
 
     With ``pendant_prune`` on, a graph of minimum degree >= 2 (no pendant
     and no isolated vertex) is refused outright: any TIASL would put the
     ground set on a vertex of degree <= 1.  Disable it to make exhaustion
-    checks definitional.  ``threads`` must be at least 1; the ground sets
-    are searched one after another in this process whatever its value.
+    checks definitional.
     """
     if bounds is None:
         bounds = default_bounds(g)
     n = g.order
-    k = n + 1
-    if k > OPEN_COUNT_GUARD:
+    if n + 1 > OPEN_COUNT_GUARD:
         raise DomainError(
             f"search covers graphs of order <= {OPEN_COUNT_GUARD - 1}, got {n}"
         )
@@ -323,19 +315,20 @@ def find_tiasl(
             f"search covers ground sets of size <= {GROUND_SIZE_GUARD}"
         )
     candidates = _ground_candidates(bounds)
-    _check_threads(threads)
-    cert = Certificate()
     degs = tuple(sorted(g.degrees(), reverse=True))
     if pendant_prune and degs and degs[-1] >= 2:
-        return SearchOutcome("pruned-by-theorem", None, cert, bounds)
+        return SearchOutcome("pruned-by-theorem", None, Certificate(), bounds)
+    status, witness = "exhausted", None
+    tried = topologies = nodes = 0
     for elems in candidates:
-        witness, topologies, nodes = _search_one_ground((g, elems, k, degs))
-        cert.ground_sets_tried += 1
-        cert.topologies_tried += topologies
-        cert.bijection_nodes += nodes
+        witness, topologies_here, nodes_here = _search_one_ground(g, elems, degs)
+        tried += 1
+        topologies += topologies_here
+        nodes += nodes_here
         if witness is not None:
-            return SearchOutcome("found", witness, cert, bounds)
-    return SearchOutcome("exhausted", None, cert, bounds)
+            status = "found"
+            break
+    return SearchOutcome(status, witness, Certificate(tried, topologies, nodes), bounds)
 
 
 def topological_set_indexing_number(
@@ -343,11 +336,10 @@ def topological_set_indexing_number(
     bounds: SearchBounds | None = None,
     *,
     pendant_prune: bool = True,
-    threads: int = 1,
 ) -> tuple[int | None, SearchOutcome]:
     """Minimum ground set size over the window (ground sets are tried in
     ascending size, so the first hit is minimal), with the full outcome."""
-    outcome = find_tiasl(g, bounds, pendant_prune=pendant_prune, threads=threads)
+    outcome = find_tiasl(g, bounds, pendant_prune=pendant_prune)
     if outcome.found:
         return len(outcome.witness.topology.ground), outcome
     return None, outcome
@@ -441,19 +433,15 @@ def theorem_sweep(
     *,
     max_element: int | None = None,
     max_ground_size: int | None = None,
-    threads: int = 1,
 ) -> SweepReport:
     """Exercise the pendant characterization over every connected graph of
     order 1..max_n (max_n <= 6): each entry records whether the graph was
     labeled by the explicit construction or exhausted by the unpruned search.
-    Any other disposition is an inconsistency; a failed construction raises.
-    ``threads`` must be at least 1; the graphs are checked one after another
-    in this process whatever its value."""
+    Any other disposition is an inconsistency; a failed construction raises."""
     if not 1 <= max_n <= OPEN_COUNT_GUARD - 1:
         raise DomainError(
             f"sweep covers orders 1..{OPEN_COUNT_GUARD - 1}, got {max_n}"
         )
-    _check_threads(threads)
     entries = tuple(
         _sweep_one(g, max_element, max_ground_size)
         for g in connected_graph_catalog(max_n)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from tiasl import Graph, complete, emit_graph6, format_edge_list, pan, cycle, path
-from tiasl import topology
+from tiasl import search, topology
 from tiasl.cli import main
 
 #: Largest elements of search windows that no ground set may hold.
@@ -305,12 +305,31 @@ class TestSearch:
             assert main(["search", str(f), "--tsin", "--threads", "2", *form]) == 0
             assert capsys.readouterr().out == serial
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "-100000"])
     def test_threads_below_one_rejected(self, c4_file, capsys, threads):
         assert main(["search", c4_file, "--threads", threads]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "threads" in captured.err
+
+    def test_threads_checked_after_loading_and_before_the_search(
+        self, tmp_path, c4_file, monkeypatch, capsys
+    ):
+        """A file error is named first; a count below 1 is named before the
+        window is refused and before any ground set is searched."""
+
+        def no_search(*args):
+            raise AssertionError("ground set searched")
+
+        monkeypatch.setattr(search, "_search_one_ground", no_search)
+        missing = str(tmp_path / "missing.edges")
+        assert main(["search", missing, "--threads", "0"]) == 2
+        assert "missing.edges" in capsys.readouterr().err
+        for flags in ([], ["--no-prune"], ["--max-element", "65"]):
+            assert main(["search", c4_file, "--threads", "0", *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: threads must be >= 1, got 0\n"
 
 
 class TestTopologies:
@@ -336,6 +355,21 @@ class TestTopologies:
     def test_bad_ground(self, capsys):
         assert main(["topologies", "--ground", "{0,1,"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["--list", "--count"])
+    def test_stream_past_the_guard_exit_2(self, monkeypatch, capsys, form):
+        def no_walk(s, k):
+            raise AssertionError("stream walked")
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
+        ground = "{0,1,2,3,4,5,6,7,8,9}"
+        assert main(["topologies", "--ground", ground, "--opens", "7", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the bounded route on 10 points with 7 opens holds "
+            "28483110 topologies, more than 1048576\n"
+        )
 
 
 class TestAnalyze:
@@ -403,13 +437,18 @@ class TestSweep:
     def test_guard(self, capsys):
         assert main(["sweep", "--max-n", "9"]) == 2
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "-100000"])
     def test_threads_below_one_rejected(self, capsys, threads):
         assert main(["sweep", "--max-n", "3", "--threads", threads]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "threads" in captured.err
 
+    def test_threads_checked_before_the_order(self, capsys):
+        assert main(["sweep", "--max-n", "0", "--threads", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be >= 1, got 0\n"
 
     @PAST_THE_UNIVERSE
     def test_window_past_the_universe_exit_2(self, capsys, top):

@@ -24,7 +24,9 @@ from tiasl import (
     discrete_topology,
     enumerate_topologies,
     find_tiasl,
+    format_edge_list,
     format_search_outcome,
+    format_sweep_report,
     indiscrete_topology,
     outcome_to_dict,
     pan,
@@ -37,6 +39,7 @@ from tiasl import (
 )
 
 from tiasl import search
+from tiasl.cli import main
 from tiasl.intset import sumset_mask
 from tiasl.search import (
     _compatibility_counts,
@@ -247,15 +250,23 @@ class TestFindTiasl:
         with pytest.raises(DomainError):
             _ground_candidates(SearchBounds(17, 17))
 
-    def test_deterministic_and_thread_invariant(self):
-        for g in (pan(3), path(4)):
-            a = find_tiasl(g)
-            b = find_tiasl(g)
-            c = find_tiasl(g, threads=2)
-            assert a == b == c
-        a = find_tiasl(cycle(4), SearchBounds(4, 5), pendant_prune=False)
-        b = find_tiasl(cycle(4), SearchBounds(4, 5), pendant_prune=False, threads=2)
-        assert a == b
+    def test_deterministic_and_thread_invariant(self, tmp_path, capsys):
+        """Equal outcomes on repeated calls, and the same CLI bytes, those of
+        the outcome, with and without ``--threads 2``."""
+        window = ["--max-element", "4", "--max-ground-size", "5", "--no-prune"]
+        runs = [
+            (pan(3), None, True, []),
+            (path(4), None, True, []),
+            (cycle(4), SearchBounds(4, 5), False, window),
+        ]
+        for g, bounds, prune, flags in runs:
+            a = find_tiasl(g, bounds, pendant_prune=prune)
+            assert find_tiasl(g, bounds, pendant_prune=prune) == a
+            f = tmp_path / "g.edges"
+            f.write_text(format_edge_list(g))
+            for threads in ([], ["--threads", "2"]):
+                assert main(["search", str(f), *flags, *threads]) == (not a.found)
+                assert capsys.readouterr().out == format_search_outcome(a)
 
 
 def _plus_isolated(g):
@@ -284,7 +295,7 @@ class TestCountedCertificates:
             bounds = SearchBounds(b.max_element, b.max_ground_size, require_zero)
             degs = tuple(sorted(g.degrees(), reverse=True))
             for elems in _ground_candidates(bounds):
-                got = _search_one_ground((g, elems, g.order + 1, degs))
+                got = _search_one_ground(g, elems, degs)
                 task = (g, elems, g.order + 1, degs[-1])
                 assert got == search_one_ground_reference(task), (g, elems)
             out = find_tiasl(g, bounds, pendant_prune=False)
@@ -389,7 +400,7 @@ class TestGroundSetPrune:
                 bounds = SearchBounds(b.max_element, b.max_ground_size, require_zero)
                 for elems in _ground_candidates(bounds):
                     walked.clear()
-                    _search_one_ground((g, elems, k, degs))
+                    _search_one_ground(g, elems, degs)
                     if 2 ** len(elems) < k:
                         continue
                     assert (not walked) == _dominance_refuses(degs, elems)
@@ -480,31 +491,26 @@ class TestSearchAgainstOracles:
                 assert out.witness.topology.ground.members.elements == want, g
 
 
+def _fresh_interpreter(script):
+    """Standard output of ``script`` run by a new interpreter on this
+    package, which starts with no module of it loaded."""
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return run.stdout
+
+
 class TestThreads:
-    @pytest.mark.parametrize("threads", [0, -1, -100_000])
-    def test_rejects_below_one(self, threads):
-        message = f"threads must be >= 1, got {threads}"
-        with pytest.raises(DomainError, match=message):
-            find_tiasl(path(2), threads=threads)
-        with pytest.raises(DomainError, match=message):
-            theorem_sweep(2, threads=threads)
-
-    def test_checked_after_the_window_and_before_the_prune(self):
-        with pytest.raises(DomainError, match="universe limit"):
-            find_tiasl(path(2), SearchBounds(65, 2), threads=0)
-        with pytest.raises(DomainError, match="threads"):
-            find_tiasl(cycle(4), threads=0)
-        with pytest.raises(DomainError, match="sweep covers"):
-            theorem_sweep(0, threads=0)
-
     def test_no_process_pool_is_imported(self, tmp_path):
         """A search and a sweep under ``--threads 2`` run in the calling
         process, so a fresh interpreter never imports a process pool."""
-        from tiasl import format_edge_list
-
         graph = tmp_path / "pan4.edges"
         graph.write_text(format_edge_list(pan(4)))
-        script = (
+        stdout = _fresh_interpreter(
             "import sys\n"
             "from tiasl.cli import main\n"
             f"main(['search', {str(graph)!r}, '--tsin', '--threads', '2'])\n"
@@ -512,15 +518,35 @@ class TestThreads:
             "pool = ('multiprocessing', 'concurrent.futures')\n"
             "print('loaded:', [m for m in pool if m in sys.modules])\n"
         )
-        src = os.path.dirname(os.path.dirname(search.__file__))
-        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        run = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, check=True,
+        assert "pendants=0 exhausted" in stdout and "tsin: 4" in stdout
+        assert stdout.splitlines()[-1] == "loaded: []"
+
+
+class TestImports:
+    def test_numpy_is_loaded_only_by_the_catalog(self, tmp_path):
+        """Only the catalog's orbit marking uses numpy, so every command
+        that reads no catalog runs without importing it."""
+        graph = tmp_path / "pan3.edges"
+        graph.write_text(format_edge_list(pan(3)))
+        labels = tmp_path / "pan3.labels"
+        labels.write_text(
+            "ground: {0,1,2,3}\nv0: {0}\nv1: {0,1}\nv2: {0,1,2}\nv3: {0,1,2,3}\n"
         )
-        assert "pendants=0 exhausted" in run.stdout and "tsin: 4" in run.stdout
-        assert run.stdout.splitlines()[-1] == "loaded: []"
+        stdout = _fresh_interpreter(
+            "import sys\n"
+            "from tiasl.cli import main\n"
+            f"assert main(['search', {str(graph)!r}, '--tsin']) == 0\n"
+            "assert main(['topologies', '--ground', '{0,1,2}', '--count']) == 0\n"
+            "assert main(['construct', '--family', 'pan', '-n', '3']) == 0\n"
+            f"assert main(['verify', {str(graph)!r}, {str(labels)!r}]) == 0\n"
+            "print('numpy before the sweep:', 'numpy' in sys.modules)\n"
+            "assert main(['sweep', '--max-n', '3']) == 0\n"
+            "print('numpy after the sweep:', 'numpy' in sys.modules)\n"
+        )
+        lines = stdout.splitlines()
+        assert "tsin: 3" in lines and "29" in lines
+        assert "numpy before the sweep: False" in lines
+        assert lines[-1] == "numpy after the sweep: True"
 
 
 class TestIndexingNumber:
@@ -627,8 +653,13 @@ class TestTheoremSweep:
         assert report.inconsistencies == ()
         assert report.graphs_processed == 31
 
-    def test_sweep_thread_invariant(self):
-        assert theorem_sweep(4, threads=2) == theorem_sweep(4)
+    def test_sweep_thread_invariant(self, capsys):
+        """The same CLI bytes, those of the report, with and without
+        ``--threads 2``."""
+        report = format_sweep_report(theorem_sweep(4))
+        for threads in ([], ["--threads", "2"]):
+            assert main(["sweep", "--max-n", "4", *threads]) == 0
+            assert capsys.readouterr().out == report
 
     def test_sweep_window_override(self):
         """Overriding the window narrows the per-graph search for every graph,

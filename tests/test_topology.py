@@ -25,8 +25,10 @@ from tiasl import (
     sierpinski_topology,
     topologies_with_open_count,
 )
+from tiasl import topology
 from tiasl.topology import (
     PAIR_GUARD,
+    STREAM_GUARD,
     _abstract_open_masks,
     _labeled_posets,
     _posets_with_up_set_count,
@@ -225,6 +227,34 @@ class TestEnumeration:
             next(
                 topologies_with_open_count(GroundSet.from_elements(range(11)), 3)
             )
+
+    def test_bounded_route_stream_guard(self, monkeypatch):
+        """Exactly four streams within both guards above exceed
+        STREAM_GUARD; each is refused from its count, before the walk."""
+
+        def no_walk(s, k):
+            raise AssertionError("stream walked")
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
+        refused = [
+            (s, k)
+            for s in range(11)
+            for k in range(8)
+            if count_open_masks(s, k) > STREAM_GUARD
+        ]
+        assert refused == [(9, 6), (9, 7), (10, 6), (10, 7)]
+        for s, k in refused:
+            stream = topologies_with_open_count(GroundSet.from_elements(range(s)), k)
+            with pytest.raises(DomainError, match=f" {count_open_masks(s, k)} "):
+                next(stream)
+        assert count_open_masks(10, 7) == 28483110
+
+    @pytest.mark.parametrize("s,k", [(8, 7), (10, 5)])
+    def test_bounded_route_largest_admitted_streams_start(self, s, k):
+        ground = GroundSet.from_elements(range(s))
+        assert count_open_masks(s, k) <= STREAM_GUARD
+        first = next(topologies_with_open_count(ground, k))
+        assert first.ground == ground and first.open_count == k
 
     def test_no_duplicates_bounded_route(self):
         ground = g(0, 1, 2, 3)
