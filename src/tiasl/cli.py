@@ -53,6 +53,7 @@ from .search import (
 from .topology import (
     ENUMERATE_GUARD,
     _pendant_bounds,
+    count_topologies,
     enumerate_topologies,
     parse_topology_text,
     topologies_with_open_count,
@@ -176,20 +177,27 @@ def _cmd_search(args) -> int:
 
 def _cmd_topologies(args) -> int:
     x = GroundSet(parse_set_text(args.ground))
-    if args.opens is not None and len(x) > ENUMERATE_GUARD:
+    s = len(x)
+    if args.opens is None and s > ENUMERATE_GUARD:
+        raise DomainError(
+            f"without --opens K the ground set is limited to size {ENUMERATE_GUARD}, "
+            f"got size {s}"
+        )
+    if not args.list:
+        count = count_topologies(s, args.opens)
+        _emit(args, lambda: {"ground": str(x), "count": count}, lambda: f"{count}\n")
+        return 0
+    if s > ENUMERATE_GUARD:
         gen = topologies_with_open_count(x, args.opens)
     else:
         gen = enumerate_topologies(x, args.opens)
-    if args.list:
-        rows = [[format_set(o) for o in t.opens] for t in gen]
-        _emit(
-            args,
-            lambda: {"ground": str(x), "count": len(rows), "topologies": rows},
-            lambda: "".join(" ".join(row) + "\n" for row in rows),
-        )
-    else:
-        count = sum(1 for _ in gen)
-        _emit(args, lambda: {"ground": str(x), "count": count}, lambda: f"{count}\n")
+    text = cache(format_set)  # one text per open, not per open and row
+    rows = [[text(o) for o in t.opens] for t in gen]
+    _emit(
+        args,
+        lambda: {"ground": str(x), "count": len(rows), "topologies": rows},
+        lambda: "".join(" ".join(row) + "\n" for row in rows),
+    )
     return 0
 
 

@@ -13,10 +13,10 @@ posets, by one-point extension, serves every route over that walk:
   number of opens, streamed without building the rest.  This is the bounded
   route the searcher uses.
 
-The same walk counts that stream in closed form (:func:`count_open_masks`)
-and walks only its families with {position 0} open (``_zero_open_masks``),
-so the searcher can certify the topologies it can never use without
-building them.
+The same walk counts that stream in closed form (:func:`count_open_masks`,
+and :func:`count_topologies` for either route) and walks only its families
+with {position 0} open (``_zero_open_masks``), so the searcher can certify
+the topologies it can never use without building them.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ OPEN_COUNT_GUARD = 7
 GROUND_SIZE_GUARD = 10
 
 #: Most topologies one bounded-route stream may yield.  Every one is built
-#: as a ``Topology`` and the CLI's ``--list`` holds them all, at about 17 µs
-#: and 0.5 kB each on a 2-core VM: the 28,483,110 on 10 points with 7 opens,
-#: which both guards above admit, would take 8 minutes and 15 GB.  The
-#: stream is counted in closed form before it starts.
+#: as a ``Topology`` and the CLI's ``--list`` holds them all, at about 4 µs
+#: and 0.33 kB each on a 2-core VM: the 28,483,110 on 10 points with 7 opens,
+#: which both guards above admit, would take 2 minutes and 9 GB.  The
+#: stream is counted in closed form before it starts; a count alone
+#: (:func:`count_topologies`) builds nothing and is not guarded.
 STREAM_GUARD = 2**20
 
 #: Guard for the unrestricted enumeration.
@@ -404,6 +405,63 @@ def translate_masks(position_masks: Iterable[int], x: GroundSet) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _canonical_ranks(s: int) -> tuple[int, ...]:
+    """Rank of each bit mask over positions 0..s-1 in the canonical set order.
+    Translating positions to the elements of a ground set keeps their order,
+    so the ranks order the translated sets too: ``{0,3}`` before ``{1,2}``."""
+    order = sorted(range(1 << s), key=lambda m: canonical_key(IntSet.from_mask(m)))
+    ranks = [0] * (1 << s)
+    for rank, m in enumerate(order):
+        ranks[m] = rank
+    return tuple(ranks)
+
+
+def _topologies_on(x: GroundSet, families: Iterable[tuple[int, ...]]) -> Iterator[Topology]:
+    """The topologies on ``x`` whose open families, as bit masks over
+    positions, are ``families`` (each holding 0 and the full mask), built from
+    one rank and one ``IntSet`` per position mask of ``x``."""
+    rank = _canonical_ranks(len(x)).__getitem__
+    sets = [IntSet.from_mask(m) for m in translate_masks(range(1 << len(x)), x)]
+    for family in families:
+        yield Topology(x, tuple([sets[m] for m in sorted(family, key=rank)]))
+
+
+def _open_counts(s: int, open_count: int | None, bounded: bool) -> Iterable[int]:
+    """The open counts a route covers on s points, after the route's guards:
+    the bounded route serves one open count up to OPEN_COUNT_GUARD on at most
+    GROUND_SIZE_GUARD points; the enumeration serves any open count, or all
+    of them, on at most ENUMERATE_GUARD points."""
+    if bounded:
+        if open_count > OPEN_COUNT_GUARD:
+            raise DomainError(
+                f"open counts above {OPEN_COUNT_GUARD} are beyond the bounded route"
+            )
+        if s > GROUND_SIZE_GUARD:
+            raise DomainError(
+                f"ground sets above size {GROUND_SIZE_GUARD} are beyond the bounded route"
+            )
+        return (open_count,)
+    if s > ENUMERATE_GUARD:
+        raise DomainError(
+            f"the enumeration is limited to ground sets of size {ENUMERATE_GUARD}, "
+            f"got {s}; for a fixed open count use topologies_with_open_count instead"
+        )
+    return range(2**s + 1) if open_count is None else (open_count,)
+
+
+def count_topologies(s: int, open_count: int | None = None) -> int:
+    """Number of topologies on an s-element set (with exactly ``open_count``
+    opens if given), in closed form from :func:`count_open_masks`: no
+    topology is built and no family walked.  The guards are those of the
+    stream that lists them: :func:`enumerate_topologies` without an open
+    count or on at most ENUMERATE_GUARD points, else
+    :func:`topologies_with_open_count`, whose STREAM_GUARD protects only
+    building and holding the topologies."""
+    bounded = open_count is not None and s > ENUMERATE_GUARD
+    return sum(count_open_masks(s, k) for k in _open_counts(s, open_count, bounded))
+
+
 def enumerate_topologies(
     x: GroundSet, open_count_filter: int | None = None
 ) -> Iterator[Topology]:
@@ -416,19 +474,13 @@ def enumerate_topologies(
     count use :func:`topologies_with_open_count`.
     """
     s = len(x)
-    if s > ENUMERATE_GUARD:
-        raise DomainError(
-            f"enumerate_topologies is limited to ground sets of size {ENUMERATE_GUARD}; "
-            "for a fixed open count use topologies_with_open_count instead"
-        )
-    counts = range(2**s + 1) if open_count_filter is None else (open_count_filter,)
+    counts = _open_counts(s, open_count_filter, bounded=False)
     families = [family for k in counts for family in _abstract_open_masks(s, k)]
     # One weight per family: bit ``top - m`` stands for subset m, so the
     # smallest mask is the most significant digit.
     top = (1 << s) - 1
     families.sort(key=lambda family: sum(1 << (top - m) for m in family))
-    for family in families:
-        yield _topology_from_masks(x, translate_masks(family, x))
+    yield from _topologies_on(x, families)
 
 
 def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topology]:
@@ -437,22 +489,14 @@ def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topolo
     by restricted growth string, posets in table order.  Output-linear;
     guarded at open_count <= 7, |x| <= 10 and STREAM_GUARD topologies."""
     s = len(x)
-    if open_count > OPEN_COUNT_GUARD:
-        raise DomainError(
-            f"open counts above {OPEN_COUNT_GUARD} are beyond the bounded route"
-        )
-    if s > GROUND_SIZE_GUARD:
-        raise DomainError(
-            f"ground sets above size {GROUND_SIZE_GUARD} are beyond the bounded route"
-        )
+    _open_counts(s, open_count, bounded=True)
     count = count_open_masks(s, open_count)
     if count > STREAM_GUARD:
         raise DomainError(
             f"the bounded route on {s} points with {open_count} opens holds "
             f"{count} topologies, more than {STREAM_GUARD}"
         )
-    for abstract in _abstract_open_masks(s, open_count):
-        yield _topology_from_masks(x, translate_masks(abstract, x))
+    yield from _topologies_on(x, _abstract_open_masks(s, open_count))
 
 
 # ---------------------------------------------------------------------------

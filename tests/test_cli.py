@@ -356,7 +356,7 @@ class TestTopologies:
         assert main(["topologies", "--ground", "{0,1,"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("form", ["--list", "--count"])
+    @pytest.mark.parametrize("form", ["--list"])
     def test_stream_past_the_guard_exit_2(self, monkeypatch, capsys, form):
         def no_walk(s, k):
             raise AssertionError("stream walked")
@@ -370,6 +370,66 @@ class TestTopologies:
             "error: the bounded route on 10 points with 7 opens holds "
             "28483110 topologies, more than 1048576\n"
         )
+
+    def test_count_past_the_stream_guard(self, monkeypatch, capsys):
+        """The stream guard protects building and holding topologies, so
+        ``--count`` answers the four streams ``--list`` refuses, unwalked."""
+
+        def no_walk(s, k):
+            raise AssertionError("stream walked")
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
+        counts = {
+            (9, 6): 1131990,
+            (9, 7): 3992940,
+            (10, 6): 6386760,
+            (10, 7): 28483110,
+        }
+        for (s, k), count in counts.items():
+            ground = "{" + ",".join(map(str, range(s))) + "}"
+            assert main(["topologies", "--ground", ground, "--opens", str(k)]) == 0
+            assert capsys.readouterr() == (f"{count}\n", "")
+
+    @pytest.mark.parametrize("form", ["--list", "--count"])
+    def test_no_opens_past_size_five_names_the_flag(self, capsys, form):
+        assert main(["topologies", "--ground", "{0,1,2,3,4,5}", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: without --opens K the ground set is limited to size 5, got size 6\n"
+        )
+
+    @pytest.mark.parametrize(
+        "ground, opens, rc",
+        [
+            ("{0,1,2}", None, 0),
+            ("{0,3,4,9,17}", None, 0),
+            ("{0,3,4,9,17}", "4", 0),
+            ("{0,3,4,9,17}", "32", 0),
+            ("{0,3,4,9,17}", "-1", 0),
+            ("{0,1,2,3,4,5,6,7}", "6", 0),
+            ("{0,1,2,3,4,5,6,7,8,9}", "7", 0),
+            ("{0,1,2,3,4,5,6,7,8,9}", "8", 2),
+            ("{0,1,2,3,4,5,6,7,8,9,10}", "3", 2),
+            ("{0,1,2,3,4,5}", None, 2),
+        ],
+    )
+    def test_count_builds_nothing(self, monkeypatch, capsys, ground, opens, rc):
+        """``--count`` walks no family and builds no topology on any route,
+        refusals included."""
+
+        def refuse(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", refuse)
+        monkeypatch.setattr(topology, "_topology_from_masks", refuse)
+        argv = ["topologies", "--ground", ground, "--count"]
+        argv += [] if opens is None else ["--opens", opens]
+        for form in ([], ["--json"]):
+            assert main(argv + form) == rc
+            captured = capsys.readouterr()
+            assert (captured.out == "") == (rc == 2)
+            assert captured.err.startswith("error: ") == (rc == 2)
 
 
 class TestAnalyze:

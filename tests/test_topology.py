@@ -15,6 +15,7 @@ from tiasl import (
     chain_topology,
     check_topology,
     compatibility_graph,
+    count_topologies,
     discrete_topology,
     enumerate_topologies,
     format_topology,
@@ -26,14 +27,18 @@ from tiasl import (
     topologies_with_open_count,
 )
 from tiasl import topology
+from tiasl.intset import canonical_key
 from tiasl.topology import (
     PAIR_GUARD,
     STREAM_GUARD,
     _abstract_open_masks,
+    _canonical_ranks,
     _labeled_posets,
     _posets_with_up_set_count,
+    _topology_from_masks,
     _zero_open_masks,
     count_open_masks,
+    translate_masks,
 )
 
 from oracles import (
@@ -294,6 +299,95 @@ class TestCountedStream:
     def test_zero_open_walk_matches_filtered_stream(self, s, k):
         want = [(i, a) for i, a in enumerate(_abstract_open_masks(s, k)) if 1 in a]
         assert list(_zero_open_masks(s, k)) == want
+
+
+#: Gapped ground sets of every size up to 10.
+GAPPED = (0, 3, 4, 9, 17, 20, 31, 40, 52, 63)
+
+
+class TestCountTopologies:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_matches_enumeration(self, s):
+        ground = GroundSet.from_elements(GAPPED[:s])
+        for k in [None, *range(-1, 2**s + 2)]:
+            want = sum(1 for _ in enumerate_topologies(ground, k))
+            assert count_topologies(s, k) == want, k
+
+    @pytest.mark.parametrize(
+        "s,k",
+        [
+            (s, k)
+            for s in (6, 7, 8)
+            for k in range(-1, 8)
+            if count_open_masks(s, k) <= STREAM_BUDGET
+        ],
+    )
+    def test_matches_bounded_route(self, s, k):
+        ground = GroundSet.from_elements(GAPPED[:s])
+        assert count_topologies(s, k) == sum(1 for _ in topologies_with_open_count(ground, k))
+
+    @pytest.mark.parametrize("s,k", [(6, None), (6, 8), (11, 3), (11, 8), (10, 7), (9, 6)])
+    def test_guards_match_the_streams(self, monkeypatch, s, k):
+        """Each refusal is the stream's own, in the same order, except the
+        stream guard, which protects only building the topologies."""
+
+        def no_walk(s, k):
+            raise AssertionError("stream walked")
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
+        ground = GroundSet.from_elements(range(s))
+        stream = (
+            enumerate_topologies(ground)
+            if k is None
+            else topologies_with_open_count(ground, k)
+        )
+        with pytest.raises(DomainError) as refused:
+            next(stream)
+        if str(refused.value).startswith("the bounded route on"):
+            assert count_topologies(s, k) == count_open_masks(s, k) > STREAM_GUARD
+        else:
+            with pytest.raises(DomainError) as counted:
+                count_topologies(s, k)
+            assert str(counted.value) == str(refused.value)
+
+
+class TestTableBuiltTopologies:
+    """Both generators build each topology from one rank and one ``IntSet``
+    table per ground set; the old per-family builder is the reference."""
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_ranks_follow_the_canonical_order(self, s):
+        """Sorting position masks by rank sorts their translations into a
+        gapped ground set by ``canonical_key``."""
+        masks = translate_masks(range(1 << s), g(*GAPPED[:s]))
+        ranks = _canonical_ranks(s)
+        assert sorted(ranks) == list(range(1 << s))
+        by_rank = [masks[m] for m in sorted(range(1 << s), key=ranks.__getitem__)]
+        by_key = sorted(map(IntSet.from_mask, masks), key=canonical_key)
+        assert by_rank == [t.mask for t in by_key]
+
+    @pytest.mark.parametrize("elems", [(0, 3, 4, 9, 17), (1, 2, 5, 6, 8), (0, 1, 2, 3, 4)])
+    def test_enumeration_matches_the_per_family_builder(self, elems):
+        x, s = g(*elems), len(elems)
+        top = (1 << s) - 1
+        for k in [None, *range(2, 10)]:
+            counts = range(2**s + 1) if k is None else (k,)
+            families = sorted(
+                (f for c in counts for f in _abstract_open_masks(s, c)),
+                key=lambda f: sum(1 << (top - m) for m in f),
+            )
+            want = [_topology_from_masks(x, translate_masks(f, x)) for f in families]
+            assert list(enumerate_topologies(x, k)) == want, k
+
+    @pytest.mark.parametrize(
+        "elems, k",
+        [((0, 3, 4, 9, 17, 20), 6), ((2, 3, 4, 9, 17, 20, 31), 5), (GAPPED, 3), (GAPPED[:8], 4)],
+    )
+    def test_bounded_route_matches_the_per_family_builder(self, elems, k):
+        x = g(*elems)
+        families = _abstract_open_masks(len(x), k)
+        want = [_topology_from_masks(x, translate_masks(f, x)) for f in families]
+        assert list(topologies_with_open_count(x, k)) == want
 
 
 class TestPosetGenerator:
