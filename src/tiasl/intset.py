@@ -109,7 +109,7 @@ class IntSet:
         return isinstance(other, IntSet) and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash(("IntSet", self._mask))
+        return hash(self._mask)
 
     # Subset comparisons, mirroring frozenset.
     def __le__(self, other: "IntSet") -> bool:

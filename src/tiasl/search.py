@@ -26,8 +26,8 @@ from .graph import Graph, connected_graph_catalog, emit_graph6, pendant_vertices
 from .intset import DomainError, GroundSet, IntSet, check_universe, sumset_mask
 from .labeling import SetLabeling, format_labeling, verify_tiasl
 from .topology import (
-    GROUND_SIZE_GUARD,
     OPEN_COUNT_GUARD,
+    STREAM_GUARD,
     Topology,
     _abstract_open_masks,
     _topology_from_masks,
@@ -39,7 +39,11 @@ from .topology import (
 )
 
 #: Most ground sets one search window may hold (the default window at order
-#: 6 holds 512); the candidate list of a window is built whole.
+#: 6 holds 512); the candidate list of a window is built whole.  The window
+#: counts every size up to its largest, so it also caps |X| at 17: {0} plus
+#: any subset of {1..16} is exactly 2**16 ground sets, and any window with
+#: an 18-element ground set holds more.  That bounds the 2^|X| table of
+#: :func:`_compatibility_counts` too.
 GROUND_SETS_GUARD = 2**16
 
 __all__ = [
@@ -263,20 +267,28 @@ def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
     built, each at its index in the stream, and with an isolated vertex
     every topology is built.  The same topologies reach the backtracker in
     the same order as in a full stream, so the counters equal those of
-    building every topology and skipping the unusable ones."""
+    building every topology and skipping the unusable ones.  Before any is
+    built, a stream of more than STREAM_GUARD families, which bounds the
+    {0}-open part too, is refused naming the ground set."""
     k = len(degs) + 1
     s = len(elems)
     if k > 1 << s:
         return None, 0, 0
+    count = count_open_masks(s, k)
     if not degs or degs[-1] > (elems[0] == 0):
-        return None, count_open_masks(s, k), 0
+        return None, count, 0
     if any(d > c for d, c in zip(degs, _compatibility_degree_caps(elems))):
-        return None, count_open_masks(s, k), 0
+        return None, count, 0
+    x = GroundSet(IntSet(elems))
+    if count > STREAM_GUARD:
+        raise DomainError(
+            f"ground set {x} holds {count} topologies with {k} opens, "
+            f"more than {STREAM_GUARD}"
+        )
     if degs[-1] == 1:
         families = _zero_open_masks(s, k)
     else:
         families = enumerate(_abstract_open_masks(s, k))
-    x = GroundSet(IntSet(elems))
     nodes = [0]
     for index, abstract in families:
         t = _topology_from_masks(x, translate_masks(abstract, x))
@@ -287,7 +299,7 @@ def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
                     "internal error: search witness failed verification"
                 )
             return SearchWitness(t, lab), index + 1, nodes[0]
-    return None, count_open_masks(s, k), nodes[0]
+    return None, count, nodes[0]
 
 
 def find_tiasl(
@@ -309,10 +321,6 @@ def find_tiasl(
     if n + 1 > OPEN_COUNT_GUARD:
         raise DomainError(
             f"search covers graphs of order <= {OPEN_COUNT_GUARD - 1}, got {n}"
-        )
-    if min(bounds.max_ground_size, bounds.max_element + 1) > GROUND_SIZE_GUARD:
-        raise DomainError(
-            f"search covers ground sets of size <= {GROUND_SIZE_GUARD}"
         )
     candidates = _ground_candidates(bounds)
     degs = tuple(sorted(g.degrees(), reverse=True))

@@ -7,16 +7,18 @@ the unions of blocks over up-closed class sets, so a poset with exactly k
 up-sets yields a topology with exactly k opens.  One generator of labeled
 posets, by one-point extension, serves every route over that walk:
 
-* :func:`enumerate_topologies` — every topology on ``x`` (|x| <= 5), or
-  those with a given open count, sorted into a fixed order.
+* :func:`enumerate_topologies` — every topology on ``x``, or those with a
+  given open count, sorted into a fixed order.
 * :func:`topologies_with_open_count` — only the topologies with a fixed
-  number of opens, streamed without building the rest.  This is the bounded
-  route the searcher uses.
+  number of opens, streamed in walk order without building the rest.
 
 The same walk counts that stream in closed form (:func:`count_open_masks`,
 and :func:`count_topologies` for either route) and walks only its families
 with {position 0} open (``_zero_open_masks``), so the searcher can certify
-the topologies it can never use without building them.
+the topologies it can never use without building them.  Two guards bound
+the work, each where its cost arises: the poset tables (OPEN_COUNT_GUARD,
+ENUMERATE_GUARD) and the families one stream builds (STREAM_GUARD), counted
+before the stream starts.
 """
 
 from __future__ import annotations
@@ -40,23 +42,23 @@ from .intset import (
     sumset_mask,
 )
 
-#: Guards for the bounded (fixed open count) route.  A poset table is built
-#: only for at most OPEN_COUNT_GUARD up-sets or at most ENUMERATE_GUARD
-#: classes: every table on c <= 5 classes, and the tables on more classes
-#: with k <= 7 up-sets, whose largest (c = 6, k = 7) holds the 720 chains.
+#: Guards for the poset tables, the one cost every route shares.  A table is
+#: built only for at most OPEN_COUNT_GUARD up-sets or on at most
+#: ENUMERATE_GUARD classes: every table on c <= 5 classes, and the tables on
+#: more classes with k <= 7 up-sets, whose largest (c = 6, k = 7) holds the
+#: 720 chains.  An s-point count with k opens reads the tables on c < k and
+#: c <= s classes, so it is refused exactly when 8 <= k <= 2^s and s >= 6.
 OPEN_COUNT_GUARD = 7
-GROUND_SIZE_GUARD = 10
-
-#: Most topologies one bounded-route stream may yield.  Every one is built
-#: as a ``Topology`` and the CLI's ``--list`` holds them all, at about 4 µs
-#: and 0.33 kB each on a 2-core VM: the 28,483,110 on 10 points with 7 opens,
-#: which both guards above admit, would take 2 minutes and 9 GB.  The
-#: stream is counted in closed form before it starts; a count alone
-#: (:func:`count_topologies`) builds nothing and is not guarded.
-STREAM_GUARD = 2**20
-
-#: Guard for the unrestricted enumeration.
 ENUMERATE_GUARD = 5
+
+#: Most families one stream may build: the topologies either generator
+#: yields, and the families the searcher builds on one ground set.  Every
+#: topology costs about 4 µs and 0.33 kB on a 2-core VM, and the CLI's
+#: ``--list`` holds them all: the 28,483,110 on 10 points with 7 opens would
+#: take 2 minutes and 9 GB.  Each stream is counted in closed form before it
+#: starts; a count alone (:func:`count_topologies`) builds nothing and is not
+#: guarded.
+STREAM_GUARD = 2**20
 
 #: Most pairs one verifier pass may build: the open pairs of
 #: :func:`check_topology` and the equal-label pairs of the labeling
@@ -344,8 +346,9 @@ def _abstract_open_masks(s: int, k: int) -> Iterator[tuple[int, ...]]:
     exactly once: partition blocks and the induced class poset are recoverable
     from the family."""
     for _, blocks, posets in _family_walk(s, k):
+        union = _block_unions(blocks)
         for ups in posets:
-            yield tuple(_or_blocks(u, blocks) for u in ups)
+            yield tuple([union[u] for u in ups])
 
 
 def _zero_open_masks(s: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -358,9 +361,10 @@ def _zero_open_masks(s: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     for index, blocks, posets in _family_walk(s, k):
         if blocks[0] != 1:
             continue
+        union = _block_unions(blocks)
         for i, ups in enumerate(posets, index):
             if 1 in ups:
-                yield i, tuple(_or_blocks(u, blocks) for u in ups)
+                yield i, tuple([union[u] for u in ups])
 
 
 @lru_cache(maxsize=None)
@@ -382,13 +386,13 @@ def count_open_masks(s: int, k: int) -> int:
     return sum(_stirling2(s, c) * len(posets) for c, posets in _class_posets(s, k))
 
 
-def _or_blocks(class_mask: int, blocks: tuple[int, ...]) -> int:
-    m = 0
-    while class_mask:
-        low = class_mask & -class_mask
-        m |= blocks[low.bit_length() - 1]
-        class_mask ^= low
-    return m
+def _block_unions(blocks: tuple[int, ...]) -> list[int]:
+    """The union of the blocks in each class set, indexed by its class mask:
+    one table of 2^c position masks per partition."""
+    unions = [0]
+    for block in blocks:
+        unions += [u | block for u in unions]
+    return unions
 
 
 def translate_masks(position_masks: Iterable[int], x: GroundSet) -> list[int]:
@@ -405,61 +409,50 @@ def translate_masks(position_masks: Iterable[int], x: GroundSet) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _canonical_ranks(s: int) -> tuple[int, ...]:
-    """Rank of each bit mask over positions 0..s-1 in the canonical set order.
-    Translating positions to the elements of a ground set keeps their order,
-    so the ranks order the translated sets too: ``{0,3}`` before ``{1,2}``."""
-    order = sorted(range(1 << s), key=lambda m: canonical_key(IntSet.from_mask(m)))
-    ranks = [0] * (1 << s)
-    for rank, m in enumerate(order):
-        ranks[m] = rank
-    return tuple(ranks)
+def _canonical_rank(m: int, s: int) -> int:
+    """Orders bit masks over positions 0..s-1 as ``canonical_key`` orders
+    sets: by size, then the set holding the first position they differ in
+    first.  Translating positions to elements keeps that order."""
+    reversed_mask = int(format(m, f"0{s}b")[::-1], 2)
+    return (m.bit_count() << s) | (((1 << s) - 1) ^ reversed_mask)
 
 
 def _topologies_on(x: GroundSet, families: Iterable[tuple[int, ...]]) -> Iterator[Topology]:
     """The topologies on ``x`` whose open families, as bit masks over
-    positions, are ``families`` (each holding 0 and the full mask), built from
-    one rank and one ``IntSet`` per position mask of ``x``."""
-    rank = _canonical_ranks(len(x)).__getitem__
-    sets = [IntSet.from_mask(m) for m in translate_masks(range(1 << len(x)), x)]
+    positions, are ``families`` (each holding 0 and the full mask).  Each
+    position mask is ranked and built once, when a family first holds it,
+    so no step costs 2^|x|."""
+    s = len(x)
+    ranks, sets = {}, {}
     for family in families:
-        yield Topology(x, tuple([sets[m] for m in sorted(family, key=rank)]))
-
-
-def _open_counts(s: int, open_count: int | None, bounded: bool) -> Iterable[int]:
-    """The open counts a route covers on s points, after the route's guards:
-    the bounded route serves one open count up to OPEN_COUNT_GUARD on at most
-    GROUND_SIZE_GUARD points; the enumeration serves any open count, or all
-    of them, on at most ENUMERATE_GUARD points."""
-    if bounded:
-        if open_count > OPEN_COUNT_GUARD:
-            raise DomainError(
-                f"open counts above {OPEN_COUNT_GUARD} are beyond the bounded route"
-            )
-        if s > GROUND_SIZE_GUARD:
-            raise DomainError(
-                f"ground sets above size {GROUND_SIZE_GUARD} are beyond the bounded route"
-            )
-        return (open_count,)
-    if s > ENUMERATE_GUARD:
-        raise DomainError(
-            f"the enumeration is limited to ground sets of size {ENUMERATE_GUARD}, "
-            f"got {s}; for a fixed open count use topologies_with_open_count instead"
-        )
-    return range(2**s + 1) if open_count is None else (open_count,)
+        for m in family:
+            if m not in sets:
+                ranks[m] = _canonical_rank(m, s)
+                sets[m] = IntSet.from_mask(translate_masks((m,), x)[0])
+        yield Topology(x, tuple([sets[m] for m in sorted(family, key=ranks.__getitem__)]))
 
 
 def count_topologies(s: int, open_count: int | None = None) -> int:
     """Number of topologies on an s-element set (with exactly ``open_count``
     opens if given), in closed form from :func:`count_open_masks`: no
-    topology is built and no family walked.  The guards are those of the
-    stream that lists them: :func:`enumerate_topologies` without an open
-    count or on at most ENUMERATE_GUARD points, else
-    :func:`topologies_with_open_count`, whose STREAM_GUARD protects only
-    building and holding the topologies."""
-    bounded = open_count is not None and s > ENUMERATE_GUARD
-    return sum(count_open_masks(s, k) for k in _open_counts(s, open_count, bounded))
+    topology is built and no family walked.  An open count below 2 or above
+    2^s counts 0.  The only refusal is the poset tables' guard: an open count
+    of 8 to 2^s on 6 or more points, and so every unrestricted count on 6 or
+    more points."""
+    if open_count is not None:
+        return count_open_masks(s, open_count)
+    return sum(count_open_masks(s, k) for k in range(2**s + 1))
+
+
+def _check_stream(route: str, s: int, open_count: int | None) -> None:
+    """Count a generator's stream and refuse it past STREAM_GUARD, naming the
+    route, before anything is built."""
+    count = count_topologies(s, open_count)
+    if count > STREAM_GUARD:
+        raise DomainError(
+            f"the {route} on {s} points with {open_count} opens holds "
+            f"{count} topologies, more than {STREAM_GUARD}"
+        )
 
 
 def enumerate_topologies(
@@ -469,17 +462,18 @@ def enumerate_topologies(
     opens), in a fixed order: lexicographic in the characteristic vector over
     the proper non-empty subsets of ``x`` in ascending mask order, a subset
     left out sorting before it is put in.  The families are those of the
-    partition × poset walk over every requested open count.  Exponential in
-    |x|; guarded at |x| <= 5 — for larger ground sets with a known open
-    count use :func:`topologies_with_open_count`.
+    partition × poset walk over every requested open count, sorted whole.
+    Guarded as :func:`count_topologies` and at STREAM_GUARD topologies, so
+    the unrestricted enumeration needs |x| <= 5;
+    :func:`topologies_with_open_count` streams one open count in walk order.
     """
     s = len(x)
-    counts = _open_counts(s, open_count_filter, bounded=False)
+    _check_stream("enumeration", s, open_count_filter)
+    counts = range(2**s + 1) if open_count_filter is None else (open_count_filter,)
     families = [family for k in counts for family in _abstract_open_masks(s, k)]
-    # One weight per family: bit ``top - m`` stands for subset m, so the
-    # smallest mask is the most significant digit.
-    top = (1 << s) - 1
-    families.sort(key=lambda family: sum(1 << (top - m) for m in family))
+    # At the first subset in which two families differ, the one holding it
+    # has the smaller ascending mask list: lists sorted in reverse order it.
+    families.sort(key=sorted, reverse=True)
     yield from _topologies_on(x, families)
 
 
@@ -487,15 +481,9 @@ def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topolo
     """Topologies on ``x`` with exactly ``open_count`` opens, without
     enumerating the rest, in walk order: ascending class count, partitions
     by restricted growth string, posets in table order.  Output-linear;
-    guarded at open_count <= 7, |x| <= 10 and STREAM_GUARD topologies."""
+    guarded as :func:`count_topologies` and at STREAM_GUARD topologies."""
     s = len(x)
-    _open_counts(s, open_count, bounded=True)
-    count = count_open_masks(s, open_count)
-    if count > STREAM_GUARD:
-        raise DomainError(
-            f"the bounded route on {s} points with {open_count} opens holds "
-            f"{count} topologies, more than {STREAM_GUARD}"
-        )
+    _check_stream("bounded route", s, open_count)
     yield from _topologies_on(x, _abstract_open_masks(s, open_count))
 
 

@@ -371,6 +371,20 @@ class TestTopologies:
             "28483110 topologies, more than 1048576\n"
         )
 
+    @pytest.mark.parametrize("s", [30, 64])
+    def test_large_ground_lists_by_its_stream(self, capsys, s):
+        """Only the stream's count bounds a listing: two opens on 30 or 64
+        points list the one row, and three opens are refused by count."""
+        ground = "{" + ",".join(map(str, range(s))) + "}"
+        assert main(["topologies", "--ground", ground, "--opens", "2", "--list"]) == 0
+        assert capsys.readouterr() == (f"{{}} {ground}\n", "")
+        assert main(["topologies", "--ground", ground, "--opens", "3", "--list"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: the bounded route on {s} points with 3 opens holds "
+            f"{2**s - 2} topologies, more than 1048576\n",
+        )
+
     def test_count_past_the_stream_guard(self, monkeypatch, capsys):
         """The stream guard protects building and holding topologies, so
         ``--count`` answers the four streams ``--list`` refuses, unwalked."""
@@ -410,7 +424,7 @@ class TestTopologies:
             ("{0,1,2,3,4,5,6,7}", "6", 0),
             ("{0,1,2,3,4,5,6,7,8,9}", "7", 0),
             ("{0,1,2,3,4,5,6,7,8,9}", "8", 2),
-            ("{0,1,2,3,4,5,6,7,8,9,10}", "3", 2),
+            ("{0,1,2,3,4,5,6,7,8,9,10}", "3", 0),
             ("{0,1,2,3,4,5}", None, 2),
         ],
     )

@@ -44,6 +44,7 @@ def test_examples_cover_the_documented_subcommands():
         "topologies --ground '{0,1,2}' --count",
         "topologies --ground '{0,1}' --list",
         "topologies --ground '{0,1,2,3,4,5,6,7,8,9}' --opens 7 --count",
+        "topologies --ground '{0,1,2,3,4,5,6,7,8,9,10}' --opens 3 --count",
         "analyze chain.topo",
         "sweep --max-n 3",
     ):

@@ -221,12 +221,36 @@ class TestFindTiasl:
             find_tiasl(path(7))
 
     def test_window_guard(self):
-        with pytest.raises(DomainError):
-            find_tiasl(path(3), SearchBounds(12, 11))
+        """The window is bounded by its ground-set count alone: 11-element
+        ground sets are searched, and the hit at |X| = 2 comes first."""
+        wide = find_tiasl(path(3), SearchBounds(12, 11))
+        narrow = find_tiasl(path(3), SearchBounds(12, 10))
+        assert wide.found
+        assert wide.witness == narrow.witness
+        assert wide.certificate == narrow.certificate
+
+    def test_stream_budget_refuses_before_building(self, monkeypatch):
+        """A ground set whose stream holds more than STREAM_GUARD families is
+        refused, naming it, before any family is built; a ground set counted
+        by the prunes builds nothing and is never refused."""
+
+        def no_walk(s, k):
+            raise AssertionError("family built")
+
+        exhausted = find_tiasl(cycle(4), pendant_prune=False)
+        monkeypatch.setattr(search, "STREAM_GUARD", 0)
+        monkeypatch.setattr(search, "_abstract_open_masks", no_walk)
+        monkeypatch.setattr(search, "_zero_open_masks", no_walk)
+        refusal = r"ground set \{0,1,2\} holds 6 topologies with 5 opens, more than 0$"
+        with pytest.raises(DomainError, match=refusal):
+            find_tiasl(pan(3))
+        again = find_tiasl(cycle(4), pendant_prune=False)
+        assert again.status == exhausted.status == "exhausted"
+        assert again.certificate == exhausted.certificate
 
     def test_ground_set_count_guard_builds_nothing(self, monkeypatch):
-        """A window of 17,784,019,483 ground sets passes the size guard
-        (|X| <= 10) and is refused by its count before any tuple is built."""
+        """A window of 17,784,019,483 ground sets is refused by its count
+        before any tuple is built."""
 
         def no_combinations(*args):
             raise AssertionError("candidate list built")

@@ -32,7 +32,7 @@ from tiasl.topology import (
     PAIR_GUARD,
     STREAM_GUARD,
     _abstract_open_masks,
-    _canonical_ranks,
+    _canonical_rank,
     _labeled_posets,
     _posets_with_up_set_count,
     _topology_from_masks,
@@ -226,16 +226,17 @@ class TestEnumeration:
         assert sum(1 for _ in topologies_with_open_count(ground, 3)) == 2**6 - 2
 
     def test_bounded_route_guards(self):
-        with pytest.raises(DomainError):
-            next(topologies_with_open_count(g(0, 1), 8))
-        with pytest.raises(DomainError):
-            next(
-                topologies_with_open_count(GroundSet.from_elements(range(11)), 3)
-            )
+        """Neither the open count nor the ground size is refused by itself:
+        8 opens on 2 points is an empty stream, and 3 opens on 11 points
+        holds the 2^11 - 2 topologies."""
+        assert list(topologies_with_open_count(g(0, 1), 8)) == []
+        ground = GroundSet.from_elements(range(11))
+        assert sum(1 for _ in topologies_with_open_count(ground, 3)) == 2046
 
     def test_bounded_route_stream_guard(self, monkeypatch):
-        """Exactly four streams within both guards above exceed
-        STREAM_GUARD; each is refused from its count, before the walk."""
+        """Exactly four streams on at most 10 points with at most 7 opens
+        exceed STREAM_GUARD; each is refused from its count, before the
+        walk."""
 
         def no_walk(s, k):
             raise AssertionError("stream walked")
@@ -326,7 +327,7 @@ class TestCountTopologies:
         ground = GroundSet.from_elements(GAPPED[:s])
         assert count_topologies(s, k) == sum(1 for _ in topologies_with_open_count(ground, k))
 
-    @pytest.mark.parametrize("s,k", [(6, None), (6, 8), (11, 3), (11, 8), (10, 7), (9, 6)])
+    @pytest.mark.parametrize("s,k", [(6, None), (6, 8), (64, 3), (11, 8), (10, 7), (9, 6)])
     def test_guards_match_the_streams(self, monkeypatch, s, k):
         """Each refusal is the stream's own, in the same order, except the
         stream guard, which protects only building the topologies."""
@@ -351,17 +352,121 @@ class TestCountTopologies:
             assert str(counted.value) == str(refused.value)
 
 
+#: Ground sizes and open counts of the refusal matrix below.
+MATRIX_SIZES = [*range(1, 13), 64]
+MATRIX_COUNTS = [None, *range(-1, 10), 65]
+
+
+def table_refuses(s, k):
+    """Where the poset tables' guard refuses a count on s points."""
+    return s >= 6 and (k is None or 8 <= k <= 2**s)
+
+
+class TestRefusalMatrix:
+    """Every refusal comes from the poset tables' guard or STREAM_GUARD."""
+
+    @pytest.mark.parametrize("s", MATRIX_SIZES)
+    def test_count_refused_only_by_the_table_guard(self, s):
+        for k in MATRIX_COUNTS:
+            if table_refuses(s, k):
+                refusal = f"on [67] classes .*bound of {k or 8}$"
+                with pytest.raises(DomainError, match=refusal):
+                    count_topologies(s, k)
+            elif k is not None and not 2 <= k <= 2**s:
+                assert count_topologies(s, k) == 0, k
+            elif k is None:
+                assert count_topologies(s, k) == TestEnumeration.COUNTS[s]
+            else:
+                assert count_topologies(s, k) == count_open_masks(s, k), k
+
+    @pytest.mark.parametrize("s", MATRIX_SIZES)
+    def test_generators_refuse_before_the_walk(self, monkeypatch, s):
+        """Each generator refuses before its first family exactly where the
+        count is refused or exceeds STREAM_GUARD, the latter naming the
+        generator's route; past that, it walks."""
+
+        class Walked(Exception):
+            pass
+
+        def no_walk(s, k):
+            raise Walked
+
+        monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
+        ground = GroundSet.from_elements(range(s))
+        for k in MATRIX_COUNTS:
+            try:
+                refused = over = count_topologies(s, k) > STREAM_GUARD
+            except DomainError:
+                refused, over = True, False
+            streams = [("enumeration", enumerate_topologies(ground, k))]
+            if k is not None:
+                streams.append(("bounded route", topologies_with_open_count(ground, k)))
+            for route, stream in streams:
+                with pytest.raises(DomainError if refused else Walked) as caught:
+                    next(stream)
+                if over:
+                    assert str(caught.value).startswith(f"the {route} on {s} points")
+
+    @pytest.mark.parametrize("s", MATRIX_SIZES)
+    def test_served_streams_build_their_count(self, s):
+        """Unpatched, each served stream of at most 2^12 topologies is built
+        whole, 64 points included: no step of it costs 2^s."""
+        ground = GroundSet.from_elements(range(s))
+        for k in MATRIX_COUNTS:
+            try:
+                count = count_topologies(s, k)
+            except DomainError:
+                continue
+            if count > 2**12:
+                continue
+            streams = [enumerate_topologies(ground, k)]
+            if k is not None:
+                streams.append(topologies_with_open_count(ground, k))
+            for stream in streams:
+                built = list(stream)
+                assert len(set(built)) == len(built) == count, k
+                assert all(t.open_count == k for t in built) or k is None
+
+
+def _or_blocks(class_mask, blocks):
+    """The union of the blocks in ``class_mask``, one bit at a time: the
+    per-up-set builder the generators' union tables replaced."""
+    m = 0
+    while class_mask:
+        low = class_mask & -class_mask
+        m |= blocks[low.bit_length() - 1]
+        class_mask ^= low
+    return m
+
+
+class TestBlockUnionTables:
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_generators_match_the_per_up_set_builder(self, s):
+        """Both generators yield the families of one union per up-set, in
+        the same order, for every open count up to 7."""
+        for k in range(8):
+            want = [
+                (i, tuple(_or_blocks(u, blocks) for u in ups))
+                for index, blocks, posets in topology._family_walk(s, k)
+                for i, ups in enumerate(posets, index)
+            ]
+            assert list(enumerate(_abstract_open_masks(s, k))) == want, k
+            zero = [(i, f) for i, f in want if 1 in f]
+            assert list(_zero_open_masks(s, k)) == zero, k
+
+
 class TestTableBuiltTopologies:
     """Both generators build each topology from one rank and one ``IntSet``
-    table per ground set; the old per-family builder is the reference."""
+    per position mask a family holds, made on first use; the old per-family
+    builder is the reference."""
 
     @pytest.mark.parametrize("s", range(1, 11))
     def test_ranks_follow_the_canonical_order(self, s):
         """Sorting position masks by rank sorts their translations into a
         gapped ground set by ``canonical_key``."""
         masks = translate_masks(range(1 << s), g(*GAPPED[:s]))
-        ranks = _canonical_ranks(s)
-        assert sorted(ranks) == list(range(1 << s))
+        ranks = [_canonical_rank(m, s) for m in range(1 << s)]
+        assert len(set(ranks)) == 1 << s
         by_rank = [masks[m] for m in sorted(range(1 << s), key=ranks.__getitem__)]
         by_key = sorted(map(IntSet.from_mask, masks), key=canonical_key)
         assert by_rank == [t.mask for t in by_key]
