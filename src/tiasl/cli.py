@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("sweep", help="check the pendant characterization over the catalog")
-    sp.add_argument("--max-n", type=int, required=True, help="largest graph order (<= 6)")
+    sp.add_argument("--max-n", type=int, required=True, help="largest graph order (<= 7)")
     sp.add_argument("--max-element", type=int, help="override the 2n-3 search bound")
     sp.add_argument("--max-ground-size", type=int, help="override the 2n-2 size bound")
     sp.add_argument("--threads", type=int, default=1, help="must be >= 1; runs in one process")

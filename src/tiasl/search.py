@@ -22,11 +22,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .constructive import label_any_pendant
-from .graph import Graph, connected_graph_catalog, emit_graph6, pendant_vertices
+from .graph import (
+    CATALOG_GUARD,
+    Graph,
+    connected_graph_catalog,
+    emit_graph6,
+    pendant_vertices,
+)
 from .intset import DomainError, GroundSet, IntSet, check_universe, sumset_mask
 from .labeling import SetLabeling, format_labeling, verify_tiasl
 from .topology import (
-    OPEN_COUNT_GUARD,
     STREAM_GUARD,
     Topology,
     _abstract_open_masks,
@@ -239,11 +244,12 @@ def _compatibility_counts(elems: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=GROUND_SETS_GUARD)
 def _compatibility_degree_caps(elems: tuple[int, ...]) -> tuple[int, ...]:
-    """The largest OPEN_COUNT_GUARD - 2 values of cnt(A) over the proper
+    """The largest CATALOG_GUARD - 1 values of cnt(A) over the proper
     non-empty A ⊆ X, descending: the n - 1 a search of order n reads, for
-    any order the search covers.  Kept for the ground sets of one window."""
+    any order the search covers (n <= CATALOG_GUARD).  Kept for the ground
+    sets of one window."""
     proper = sorted(_compatibility_counts(elems)[:-1], reverse=True)
-    return tuple(proper[: OPEN_COUNT_GUARD - 2])
+    return tuple(proper[: CATALOG_GUARD - 1])
 
 
 def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
@@ -314,13 +320,22 @@ def find_tiasl(
     and no isolated vertex) is refused outright: any TIASL would put the
     ground set on a vertex of degree <= 1.  Disable it to make exhaustion
     checks definitional.
+
+    Graphs of order above CATALOG_GUARD are refused before any ground set
+    is built.  Every other refusal comes where its cost arises: the window
+    (universe limit, GROUND_SETS_GUARD), then per ground set the poset
+    tables that count its stream and STREAM_GUARD.  On order 7 the tables
+    count every ground set of at most 5 elements, and the first one of 6
+    or more that the search reaches is refused naming the table.
     """
     if bounds is None:
         bounds = default_bounds(g)
     n = g.order
-    if n + 1 > OPEN_COUNT_GUARD:
+    # The cost this bounds is the backtracker's: at most floor(e * n!) - 1
+    # assignments per topology, 13,699 at n = 7 but 108,505,111 at n = 11.
+    if n > CATALOG_GUARD:
         raise DomainError(
-            f"search covers graphs of order <= {OPEN_COUNT_GUARD - 1}, got {n}"
+            f"search covers graphs of order <= {CATALOG_GUARD}, got {n}"
         )
     candidates = _ground_candidates(bounds)
     degs = tuple(sorted(g.degrees(), reverse=True))
@@ -357,7 +372,11 @@ def discrete_admissibility(g: Graph, x: GroundSet) -> AdmissibilityVerdict:
     """Can ``g`` carry the discrete topology on ``x``?  Checks the necessary
     conditions in order — the order must be 2^|x|-1 (an odd number, so even
     orders fail on parity), some vertex must have at least 2^(|x|-1) pendant
-    neighbors — and then settles the question with a bijection search."""
+    neighbors — and then settles the question with a bijection search.
+
+    That search has no bound of its own: past the degree reject it may make
+    up to floor(e * n!) - 1 assignments on the n = 2^|x| - 1 vertices
+    (about 3.6e12 on 4 points), so a caller bounds its own inputs."""
     s = len(x)
     if g.order != 2**s - 1:
         reason = "order parity" if g.order % 2 == 0 else "order mismatch"
@@ -443,13 +462,12 @@ def theorem_sweep(
     max_ground_size: int | None = None,
 ) -> SweepReport:
     """Exercise the pendant characterization over every connected graph of
-    order 1..max_n (max_n <= 6): each entry records whether the graph was
-    labeled by the explicit construction or exhausted by the unpruned search.
-    Any other disposition is an inconsistency; a failed construction raises."""
-    if not 1 <= max_n <= OPEN_COUNT_GUARD - 1:
-        raise DomainError(
-            f"sweep covers orders 1..{OPEN_COUNT_GUARD - 1}, got {max_n}"
-        )
+    order 1..max_n: each entry records whether the graph was labeled by the
+    explicit construction or exhausted by the unpruned search.  Any other
+    disposition is an inconsistency; a failed construction raises.  The
+    catalog refuses max_n outside 1..CATALOG_GUARD before any graph; at
+    order 7 the default window reaches 6-element ground sets, which the
+    poset tables refuse, so ``max_ground_size=5`` keeps it inside them."""
     entries = tuple(
         _sweep_one(g, max_element, max_ground_size)
         for g in connected_graph_catalog(max_n)

@@ -436,9 +436,11 @@ def count_topologies(s: int, open_count: int | None = None) -> int:
     """Number of topologies on an s-element set (with exactly ``open_count``
     opens if given), in closed form from :func:`count_open_masks`: no
     topology is built and no family walked.  An open count below 2 or above
-    2^s counts 0.  The only refusal is the poset tables' guard: an open count
-    of 8 to 2^s on 6 or more points, and so every unrestricted count on 6 or
-    more points."""
+    2^s counts 0.  Refused: s < 1, as :class:`GroundSet` refuses the empty
+    set, and the poset tables' guard: an open count of 8 to 2^s on 6 or more
+    points, and so every unrestricted count on 6 or more points."""
+    if s < 1:
+        raise DomainError(f"topologies are counted on s >= 1 points, got {s}")
     if open_count is not None:
         return count_open_masks(s, open_count)
     return sum(count_open_masks(s, k) for k in range(2**s + 1))
@@ -466,6 +468,9 @@ def enumerate_topologies(
     Guarded as :func:`count_topologies` and at STREAM_GUARD topologies, so
     the unrestricted enumeration needs |x| <= 5;
     :func:`topologies_with_open_count` streams one open count in walk order.
+    Every family is held before the first topology is yielded: on 10 points
+    with 5 opens (874,500 topologies) that peaks at 213 MB, against 16 MB
+    for :func:`topologies_with_open_count` on the same topologies.
     """
     s = len(x)
     _check_stream("enumeration", s, open_count_filter)

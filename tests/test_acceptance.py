@@ -1,4 +1,4 @@
-"""Acceptance suite: eight end-to-end criteria, one test (and one pass/fail
+"""Acceptance suite: nine end-to-end criteria, one test (and one pass/fail
 line) each.  Budgets are wall-clock seconds enforced inside the test."""
 
 import contextlib
@@ -333,4 +333,34 @@ def test_criterion_8_pendant_characterization_sweep_order_6():
         ok,
         f"{report.graphs_processed} graphs, {len(report.inconsistencies)} "
         f"inconsistent, {len(exhausted)} exhausted at order 6, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_9_pendant_characterization_sweep_order_7():
+    t0 = time.perf_counter()
+    report = theorem_sweep(7, max_ground_size=5)
+    elapsed = time.perf_counter() - t0
+    exhausted = [
+        e for e in report.entries if e.order == 7 and e.disposition == "exhausted"
+    ]
+    notes = {e.note for e in exhausted}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exit_code = main(["sweep", "--max-n", "7", "--max-ground-size", "5"])
+    ok = (
+        report.graphs_processed == 996
+        and report.inconsistencies == ()
+        and len(exhausted) == 507
+        and notes == {"ground_sets=562 topologies=324115"}
+        and (exit_code, out.getvalue()) == (0, format_sweep_report(report))
+        and elapsed < 600.0
+    )
+    _report(
+        9,
+        "all 996 connected graphs of order <= 7 are consistent with the "
+        "pendant characterization on ground sets of at most 5 elements, each "
+        "pendant-free order-7 graph exhausting 324,115 topologies over 562 "
+        "ground sets (budget 10 min)",
+        ok,
+        f"{report.graphs_processed} graphs, {len(report.inconsistencies)} "
+        f"inconsistent, {len(exhausted)} exhausted at order 7, {elapsed:.1f}s",
     )

@@ -265,6 +265,24 @@ class TestSearch:
         assert main(["search", str(f), "--max-element", "64", "--tsin"]) == 0
         assert capsys.readouterr().out.endswith("tsin: 2\n")
 
+    @pytest.mark.parametrize(
+        "g6, message",
+        [
+            ("F]~s?", "poset tables on 6 classes cover at most 7 up-sets, got a bound of 8"),
+            ("G?????", "search covers graphs of order <= 7, got 8"),
+        ],
+    )
+    def test_tsin_refusals_exit_2(self, tmp_path, capsys, g6, message):
+        """An order-7 graph with no hit on 5 elements reaches a 6-element
+        ground set, which the poset tables cannot count; order 8 is refused
+        before any ground set."""
+        f = tmp_path / "g.g6"
+        f.write_text(g6 + "\n")
+        assert main(["search", str(f), "--tsin"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_exhausted_exit_1(self, c4_file, capsys):
         assert (
             main(

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from tiasl import (
+    CATALOG_GUARD,
     DomainError,
     Graph,
     GroundSet,
@@ -30,6 +31,7 @@ from tiasl import (
     indiscrete_topology,
     outcome_to_dict,
     pan,
+    parse_graph6,
     path,
     pendant_vertices,
     star,
@@ -38,7 +40,7 @@ from tiasl import (
     verify_tiasl,
 )
 
-from tiasl import search
+from tiasl import search, topology
 from tiasl.cli import main
 from tiasl.intset import sumset_mask
 from tiasl.search import (
@@ -48,7 +50,6 @@ from tiasl.search import (
     _search_one_ground,
 )
 from tiasl.topology import (
-    OPEN_COUNT_GUARD,
     _abstract_open_masks,
     _topology_from_masks,
     translate_masks,
@@ -216,9 +217,19 @@ class TestFindTiasl:
         assert out.found
         assert out.certificate.ground_sets_tried == 4  # {0},{1},{2},{0,1}
 
-    def test_order_guard(self):
-        with pytest.raises(DomainError):
-            find_tiasl(path(7))
+    def test_order_guard(self, monkeypatch):
+        """Order 7 is searched; order 8 is refused, naming the bound, before
+        any ground set is built."""
+        assert find_tiasl(path(7)).found
+
+        def no_candidates(bounds):
+            raise AssertionError("ground sets built")
+
+        monkeypatch.setattr(search, "_ground_candidates", no_candidates)
+        with pytest.raises(
+            DomainError, match=r"^search covers graphs of order <= 7, got 8$"
+        ):
+            find_tiasl(path(8))
 
     def test_window_guard(self):
         """The window is bounded by its ground-set count alone: 11-element
@@ -392,7 +403,7 @@ class TestGroundSetPrune:
                 # The ground-set slot of the search: [0 in X, |X| > 1].
                 assert counts[-1] == int(elems[0] == 0 and size > 1)
                 caps = _compatibility_degree_caps(elems)
-                assert len(caps) == min(OPEN_COUNT_GUARD - 2, 2**size - 2)
+                assert len(caps) == min(CATALOG_GUARD - 1, 2**size - 2)
                 assert caps == tuple(sorted(counts[:-1], reverse=True)[: len(caps)])
 
     def test_refused_ground_sets_have_no_usable_family(self, monkeypatch):
@@ -513,6 +524,43 @@ class TestSearchAgainstOracles:
             assert out.status == ("exhausted" if want is None else "found"), g
             if want is not None:
                 assert out.witness.topology.ground.members.elements == want, g
+
+
+def _clear_table_caches():
+    for cached in (
+        topology._labeled_posets,
+        topology._posets_with_up_set_count,
+        topology.count_open_masks,
+    ):
+        cached.cache_clear()
+
+
+class TestOrderSeven:
+    """Order 7 is searched wherever the poset tables count the streams: the
+    outcome equals that of a run whose tables are pruned at 8 up-sets, which
+    reads other tables for the 8-open streams on at most 5 points."""
+
+    @pytest.mark.parametrize(
+        "g, tsin",
+        [
+            (parse_graph6("F{aC?"), 3),
+            (parse_graph6("FJqC?"), 4),
+            (parse_graph6("F~]C?"), 5),
+            (path(7), 5),
+        ],
+        ids=["F{aC?", "FJqC?", "F~]C?", "P7"],
+    )
+    def test_same_as_tables_pruned_at_8(self, monkeypatch, g, tsin):
+        outcome = find_tiasl(g)
+        monkeypatch.setattr(topology, "OPEN_COUNT_GUARD", 8)
+        _clear_table_caches()
+        try:
+            wide = find_tiasl(g)
+        finally:
+            _clear_table_caches()
+        assert outcome.found and len(outcome.witness.topology.ground) == tsin
+        assert outcome.witness == wide.witness
+        assert outcome.certificate == wide.certificate
 
 
 def _fresh_interpreter(script):
@@ -699,11 +747,22 @@ class TestTheoremSweep:
         assert k1.disposition == "found" and not k1.consistent
         assert "ground {0}" in k1.note
 
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            theorem_sweep(0)
-        with pytest.raises(DomainError):
+    def test_guard(self, monkeypatch):
+        """Orders outside the catalog are refused by it before any graph is
+        swept; order 7 in the default window is refused by the poset tables
+        at its first 6-element ground set."""
+        with pytest.raises(DomainError, match=r"^poset tables on 6 classes"):
             theorem_sweep(7)
+
+        def no_sweep(*args):
+            raise AssertionError("graph swept")
+
+        monkeypatch.setattr(search, "_sweep_one", no_sweep)
+        for max_n in (0, 8):
+            with pytest.raises(
+                DomainError, match=rf"^catalog covers orders 1\.\.7, got {max_n}$"
+            ):
+                theorem_sweep(max_n)
 
 
 class TestOutputForms:

@@ -307,6 +307,14 @@ GAPPED = (0, 3, 4, 9, 17, 20, 31, 40, 52, 63)
 
 
 class TestCountTopologies:
+    @pytest.mark.parametrize("s,k", [(0, None), (-1, None), (-1, 3)])
+    def test_no_points_refused(self, s, k):
+        """Counts are served on s >= 1 points, as ground sets are non-empty;
+        the empty set's one topology is not counted as 0."""
+        refusal = rf"^topologies are counted on s >= 1 points, got {s}$"
+        with pytest.raises(DomainError, match=refusal):
+            count_topologies(s, k)
+
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_matches_enumeration(self, s):
         ground = GroundSet.from_elements(GAPPED[:s])
