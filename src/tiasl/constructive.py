@@ -11,11 +11,6 @@ from .intset import DomainError, GroundSet, IntSet, check_universe
 from .labeling import SetLabeling, verify_tiasl
 from .topology import Topology, discrete_topology
 
-#: Largest k for :func:`label_star_discrete`.  Verifying the star checks
-#: the discrete topology's axioms, which pairs all 2^k opens: the cost grows
-#: about fourfold per step, to 0.126 s at k = 10 on a 2-core VM.
-_STAR_DISCRETE_GUARD = 10
-
 
 def _interval(top: int) -> IntSet:
     """{0..top} as an IntSet."""
@@ -146,9 +141,10 @@ def label_star_discrete(k: int) -> SetLabeling:
     """TIASL of the star K_{1,2^k-2} carrying the discrete topology on
     {0..k-1}: its star realization, with the center on {0} and the leaves on
     the other non-empty subsets.  For k = 1 the star degenerates to a single
-    vertex; k is at most 10."""
-    if not 1 <= k <= _STAR_DISCRETE_GUARD:
-        raise DomainError(f"discrete star needs 1 <= k <= {_STAR_DISCRETE_GUARD}, got {k}")
+    vertex; :func:`discrete_topology` refuses k > 10."""
+    if k < 1:
+        raise DomainError(f"discrete star needs k >= 1, got {k}")
+    check_universe(k - 1)
     x = GroundSet(_interval(k - 1))
     if k == 1:
         return _checked(SetLabeling(complete(1), x, (IntSet((0,)),)))

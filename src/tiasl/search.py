@@ -32,9 +32,9 @@ from .graph import (
 from .intset import DomainError, GroundSet, IntSet, check_universe, sumset_mask
 from .labeling import SetLabeling, format_labeling, verify_tiasl
 from .topology import (
-    STREAM_GUARD,
     Topology,
     _abstract_open_masks,
+    _check_stream,
     _topology_from_masks,
     _zero_open_masks,
     count_open_masks,
@@ -274,23 +274,18 @@ def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
     every topology is built.  The same topologies reach the backtracker in
     the same order as in a full stream, so the counters equal those of
     building every topology and skipping the unusable ones.  Before any is
-    built, a stream of more than STREAM_GUARD families, which bounds the
-    {0}-open part too, is refused naming the ground set."""
+    built, :func:`_check_stream` refuses a stream past its budget (which
+    bounds the {0}-open part too); only a count reported is made."""
     k = len(degs) + 1
     s = len(elems)
     if k > 1 << s:
         return None, 0, 0
-    count = count_open_masks(s, k)
     if not degs or degs[-1] > (elems[0] == 0):
-        return None, count, 0
+        return None, count_open_masks(s, k), 0
     if any(d > c for d, c in zip(degs, _compatibility_degree_caps(elems))):
-        return None, count, 0
+        return None, count_open_masks(s, k), 0
     x = GroundSet(IntSet(elems))
-    if count > STREAM_GUARD:
-        raise DomainError(
-            f"ground set {x} holds {count} topologies with {k} opens, "
-            f"more than {STREAM_GUARD}"
-        )
+    _check_stream(f"ground set {x}", s, k)
     if degs[-1] == 1:
         families = _zero_open_masks(s, k)
     else:
@@ -305,7 +300,7 @@ def _search_one_ground(g: Graph, elems: tuple[int, ...], degs: tuple[int, ...]):
                     "internal error: search witness failed verification"
                 )
             return SearchWitness(t, lab), index + 1, nodes[0]
-    return None, count, nodes[0]
+    return None, count_open_masks(s, k), nodes[0]
 
 
 def find_tiasl(
@@ -324,9 +319,9 @@ def find_tiasl(
     Graphs of order above CATALOG_GUARD are refused before any ground set
     is built.  Every other refusal comes where its cost arises: the window
     (universe limit, GROUND_SETS_GUARD), then per ground set the poset
-    tables that count its stream and STREAM_GUARD.  On order 7 the tables
-    count every ground set of at most 5 elements, and the first one of 6
-    or more that the search reaches is refused naming the table.
+    tables and the stream budget, both checked by the topology layer.  On
+    order 7 the tables count every ground set of at most 5 elements, and the
+    first one of 6 or more that the search reaches is refused naming the table.
     """
     if bounds is None:
         bounds = default_bounds(g)
@@ -374,9 +369,9 @@ def discrete_admissibility(g: Graph, x: GroundSet) -> AdmissibilityVerdict:
     orders fail on parity), some vertex must have at least 2^(|x|-1) pendant
     neighbors — and then settles the question with a bijection search.
 
-    That search has no bound of its own: past the degree reject it may make
-    up to floor(e * n!) - 1 assignments on the n = 2^|x| - 1 vertices
-    (about 3.6e12 on 4 points), so a caller bounds its own inputs."""
+    :func:`discrete_topology` caps its matrix at 1,023 opens; the backtracker
+    has no bound: up to floor(e * n!) - 1 assignments on the n = 2^|x| - 1
+    vertices (about 3.6e12 on 4 points), so a caller bounds its own inputs."""
     s = len(x)
     if g.order != 2**s - 1:
         reason = "order parity" if g.order % 2 == 0 else "order mismatch"

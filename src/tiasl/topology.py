@@ -15,15 +15,16 @@ posets, by one-point extension, serves every route over that walk:
 The same walk counts that stream in closed form (:func:`count_open_masks`,
 and :func:`count_topologies` for either route) and walks only its families
 with {position 0} open (``_zero_open_masks``), so the searcher can certify
-the topologies it can never use without building them.  Two guards bound
-the work, each where its cost arises: the poset tables (OPEN_COUNT_GUARD,
-ENUMERATE_GUARD) and the families one stream builds (STREAM_GUARD), counted
-before the stream starts.
+the topologies it can never use without building them.  Each guard is
+checked once, where its cost arises: the poset tables (OPEN_COUNT_GUARD,
+ENUMERATE_GUARD), the families of any stream, the searcher's too
+(STREAM_GUARD), and the opens of :func:`discrete_topology` (PAIR_GUARD).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -62,8 +63,8 @@ STREAM_GUARD = 2**20
 
 #: Most pairs one verifier pass may build: the open pairs of
 #: :func:`check_topology` and the equal-label pairs of the labeling
-#: verifier, each of which may become a reported violation.  It admits the
-#: C(1024, 2) open pairs of the discrete topology on ten points.
+#: verifier, each of which may become a reported violation.  It bounds
+#: :func:`discrete_topology` too: its C(1024, 2) open pairs on ten points fit.
 PAIR_GUARD = 2**19
 
 
@@ -180,16 +181,15 @@ def _topology_from_masks(ground: GroundSet, masks: Iterable[int]) -> Topology:
 
 
 def discrete_topology(x: GroundSet) -> Topology:
-    """All subsets of ``x`` open (2^|x| opens)."""
-    full = x.members.mask
-    masks = []
-    m = full
-    while True:
-        masks.append(m)
-        if m == 0:
-            break
-        m = (m - 1) & full
-    return _topology_from_masks(x, masks)
+    """All subsets of ``x`` open (2^|x| opens), refused before any is built
+    past PAIR_GUARD pairs of opens, which admits exactly |x| <= 10."""
+    opens = 2 ** len(x)
+    if (pairs := opens * (opens - 1) // 2) > PAIR_GUARD:
+        raise DomainError(
+            f"the discrete topology on {len(x)} points has {pairs} pairs of "
+            f"{opens} opens, more than {PAIR_GUARD}"
+        )
+    return _topology_from_masks(x, translate_masks(range(opens), x))
 
 
 def indiscrete_topology(x: GroundSet) -> Topology:
@@ -446,13 +446,20 @@ def count_topologies(s: int, open_count: int | None = None) -> int:
     return sum(count_open_masks(s, k) for k in range(2**s + 1))
 
 
-def _check_stream(route: str, s: int, open_count: int | None) -> None:
-    """Count a generator's stream and refuse it past STREAM_GUARD, naming the
-    route, before anything is built."""
+def _check_stream(stream: str, s: int, open_count: int | None) -> None:
+    """Refuse ``stream``, the topologies on s points with K = ``open_count``
+    opens, past STREAM_GUARD before any is built.  They pick K - 2 of the
+    2^s - 2 proper non-empty subsets, so they are counted only where that
+    binomial, at least 2^r for its smaller side r, exceeds the guard, as it
+    does wherever the poset tables refuse."""
+    if open_count is not None:
+        r = min(open_count - 2, 2**s - open_count)
+        if 0 <= r < STREAM_GUARD.bit_length() and math.comb(2**s - 2, r) <= STREAM_GUARD:
+            return
     count = count_topologies(s, open_count)
     if count > STREAM_GUARD:
         raise DomainError(
-            f"the {route} on {s} points with {open_count} opens holds "
+            f"{stream} with {open_count} opens holds "
             f"{count} topologies, more than {STREAM_GUARD}"
         )
 
@@ -473,7 +480,7 @@ def enumerate_topologies(
     for :func:`topologies_with_open_count` on the same topologies.
     """
     s = len(x)
-    _check_stream("enumeration", s, open_count_filter)
+    _check_stream(f"the enumeration on {s} points", s, open_count_filter)
     counts = range(2**s + 1) if open_count_filter is None else (open_count_filter,)
     families = [family for k in counts for family in _abstract_open_masks(s, k)]
     # At the first subset in which two families differ, the one holding it
@@ -488,7 +495,7 @@ def topologies_with_open_count(x: GroundSet, open_count: int) -> Iterator[Topolo
     by restricted growth string, posets in table order.  Output-linear;
     guarded as :func:`count_topologies` and at STREAM_GUARD topologies."""
     s = len(x)
-    _check_stream("bounded route", s, open_count)
+    _check_stream(f"the bounded route on {s} points", s, open_count)
     yield from _topologies_on(x, _abstract_open_masks(s, open_count))
 
 

@@ -103,6 +103,15 @@ class TestVerify:
         assert main(["verify", "--json", g, l]) == 0
         assert json.loads(capsys.readouterr().out)["is_tiasl"] is True
 
+    def test_isolated_vertex_warning(self, tmp_path, capsys):
+        g = tmp_path / "iso.edges"
+        g.write_text(format_edge_list(Graph.from_edges(3, [(0, 1)])))
+        l = tmp_path / "iso.labels"
+        l.write_text("ground: {0,1}\nv0: {0}\nv1: {0,1}\nv2: {1}\n")
+        assert main(["verify", str(g), str(l)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("topology is discrete: true\nwarning: isolated-vertex: 2\n")
+
     def test_pair_guard_exits_2(self, tmp_path, capsys):
         g = tmp_path / "empty.edges"
         g.write_text("1025 0\n")
@@ -132,8 +141,10 @@ class TestConstruct:
         assert out.count("\n") == 8  # ground line + 7 vertices
 
     def test_star_discrete_guard(self, capsys):
+        """k = 11 is refused by the discrete topology's pair budget."""
         assert main(["construct", "--family", "star-discrete", "-k", "11"]) == 2
-        assert "k <= 10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: the discrete topology on 11 points has ")
 
     def test_out_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "shovel31")
@@ -162,6 +173,13 @@ class TestConstruct:
     def test_missing_parameter(self, capsys):
         assert main(["construct", "--family", "pan"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, flag", [("star-discrete", "-k"), ("pendant-generic", "--graph")]
+    )
+    def test_missing_family_parameter_named(self, capsys, family, flag):
+        assert main(["construct", "--family", family]) == 2
+        assert capsys.readouterr().err == f"error: --family {family} requires {flag}\n"
 
     def test_domain_error(self, capsys):
         assert main(["construct", "--family", "pan", "-n", "2"]) == 2
@@ -636,6 +654,21 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_empty_ground_set_exit_2(self, tmp_path, capsys):
+        g = tmp_path / "p2.edges"
+        g.write_text(format_edge_list(path(2)))
+        l = tmp_path / "empty.labels"
+        l.write_text("ground: {}\nv0: {0}\nv1: {0,1}\n")
+        assert main(["verify", str(g), str(l)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ground set: ground set must be non-empty")
+
+    def test_empty_graph6_file_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "empty.g6"
+        f.write_text("\n\n")
+        assert main(["search", str(f)]) == 2
+        assert capsys.readouterr().err == "error: empty graph6 file (offset 0)\n"
 
     def test_bad_labeling_offset(self, tmp_path, capsys):
         g = tmp_path / "p2.edges"

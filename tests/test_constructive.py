@@ -106,6 +106,10 @@ class TestFamilyLabelings:
         with pytest.raises(DomainError):
             label_shovel(2, 1)
 
+    def test_shovel_needs_a_handle(self):
+        with pytest.raises(DomainError, match="^shovel needs a handle of at least one vertex, got 0$"):
+            label_shovel(3, 0)
+
 
 class TestSharedHandleLabeling:
     @pytest.mark.parametrize("n", range(3, 8))
@@ -302,15 +306,16 @@ class TestStarDiscrete:
             label_star_discrete(0)
 
     def test_guard_refuses_before_building(self, monkeypatch):
-        """k = 11 is refused by name before the discrete topology is built;
-        k = 10, the limit, is still built and verified."""
-        from tiasl import constructive
+        """k = 11 is refused by the discrete topology's pair budget before
+        any open is built; k = 10, the limit, is still built and verified."""
+        from tiasl import topology
 
-        def refuse(x):
+        def refuse(ground, masks):
             raise AssertionError("built a topology past the guard")
 
-        monkeypatch.setattr(constructive, "discrete_topology", refuse)
-        with pytest.raises(DomainError, match="1 <= k <= 10, got 11"):
+        monkeypatch.setattr(topology, "_topology_from_masks", refuse)
+        refusal = r"^the discrete topology on 11 points has 2096128 pairs of 2048 opens"
+        with pytest.raises(DomainError, match=refusal):
             label_star_discrete(11)
         monkeypatch.undo()
         assert label_star_discrete(10).graph.order == 2**10 - 1

@@ -74,6 +74,9 @@ class TestGraphType:
         assert isolated_vertices(h) == (2,)
         assert not is_connected(h)
 
+    def test_order_zero_is_not_connected(self):
+        assert not is_connected(Graph.from_edges(0, []))
+
 
 class TestFamilies:
     def test_path(self):
@@ -132,6 +135,10 @@ class TestFamilies:
             tadpole(2, 1)
         with pytest.raises(DomainError):
             shovel(3, 0)
+
+    def test_shovel_needs_a_clique(self):
+        with pytest.raises(DomainError, match="^shovel clique needs at least three vertices, got 2$"):
+            shovel(2, 1)
 
 
 class TestGraph6:

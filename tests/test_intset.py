@@ -38,6 +38,20 @@ class TestIntSet:
         assert len(s) == 0
         assert str(s) == "{}"
 
+    def test_empty_has_no_extremes(self):
+        with pytest.raises(DomainError, match="^empty set has no maximum$"):
+            IntSet().max_element
+        with pytest.raises(DomainError, match="^empty set has no minimum$"):
+            IntSet().min_element
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(DomainError, match="^bit mask must be non-negative$"):
+            IntSet.from_mask(-1)
+
+    def test_repr(self):
+        assert repr(IntSet([0, 1, 2])) == "IntSet({0, 1, 2})"
+        assert repr(IntSet()) == "IntSet({})"
+
     def test_rejects_negative_and_bool(self):
         with pytest.raises(DomainError):
             IntSet([-1])

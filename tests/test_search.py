@@ -11,6 +11,7 @@ import pytest
 
 from tiasl import (
     CATALOG_GUARD,
+    Certificate,
     DomainError,
     Graph,
     GroundSet,
@@ -249,10 +250,10 @@ class TestFindTiasl:
             raise AssertionError("family built")
 
         exhausted = find_tiasl(cycle(4), pendant_prune=False)
-        monkeypatch.setattr(search, "STREAM_GUARD", 0)
+        monkeypatch.setattr(topology, "STREAM_GUARD", 0)
         monkeypatch.setattr(search, "_abstract_open_masks", no_walk)
         monkeypatch.setattr(search, "_zero_open_masks", no_walk)
-        refusal = r"ground set \{0,1,2\} holds 6 topologies with 5 opens, more than 0$"
+        refusal = r"^ground set \{0,1,2\} with 5 opens holds 6 topologies, more than 0$"
         with pytest.raises(DomainError, match=refusal):
             find_tiasl(pan(3))
         again = find_tiasl(cycle(4), pendant_prune=False)
@@ -563,6 +564,34 @@ class TestOrderSeven:
         assert outcome.certificate == wide.certificate
 
 
+class TestLazyStreamCount:
+    def test_hit_reads_only_the_tables_its_walk_reaches(self, monkeypatch):
+        """With cold caches, the search of Ej]? (tsin 5) hits on the first
+        5-element ground set within the stream budget's closed-form bound,
+        C(30, 5) = 142,506, so the 5-class table with 7 up-sets is never
+        read, and the outcome is that of counting the stream."""
+        tables = topology._posets_with_up_set_count
+        read = []
+
+        def recording(c, k):
+            read.append((c, k))
+            return tables(c, k)
+
+        _clear_table_caches()
+        monkeypatch.setattr(topology, "_posets_with_up_set_count", recording)
+        try:
+            outcome = find_tiasl(parse_graph6("Ej]?"))
+        finally:
+            monkeypatch.undo()
+            _clear_table_caches()
+        assert sorted(set(read)) == [(3, 7), (4, 7)]
+        assert outcome.found and str(outcome.witness.topology.ground) == "{0,1,2,3,4}"
+        assert [str(s) for s in outcome.witness.labeling.vertex_labels] == [
+            "{0}", "{2}", "{0,2}", "{1,2}", "{0,1,2}", "{0,1,2,3,4}",
+        ]
+        assert outcome.certificate == Certificate(131, 5025, 1264)
+
+
 def _fresh_interpreter(script):
     """Standard output of ``script`` run by a new interpreter on this
     package, which starts with no module of it loaded."""
@@ -692,6 +721,18 @@ class TestDiscreteAdmissibility:
     def test_large_star_control(self):
         verdict = discrete_admissibility(star(14), ground(0, 1, 2, 3))
         assert verdict.admissible
+
+    def test_eleven_points_refused_before_any_open(self, monkeypatch):
+        """An order-2,047 star passes both necessary conditions on 11
+        points; the discrete topology's pair budget refuses it before any
+        open, or the 2,047-square compatibility matrix, is built."""
+
+        def no_build(ground, masks):
+            raise AssertionError("opens built")
+
+        monkeypatch.setattr(topology, "_topology_from_masks", no_build)
+        with pytest.raises(DomainError, match="^the discrete topology on 11 points "):
+            discrete_admissibility(star(2046), GroundSet.from_elements(range(11)))
 
 
 class TestTheoremSweep:

@@ -1,6 +1,8 @@
 """Topology model: validity checking, enumeration, compatibility analysis."""
 
+import math
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -129,6 +131,29 @@ class TestCheckTopologyPairGuard:
         message = f"524800 pairs of 1025 distinct opens, more than {PAIR_GUARD}"
         with pytest.raises(DomainError, match=message):
             check_topology(family, x)
+
+
+class TestDiscretePairBudget:
+    """discrete_topology refuses, before building any open, more than the
+    PAIR_GUARD pairs of opens that checking or matching it would pair up."""
+
+    @pytest.mark.parametrize("s", [11, 64])
+    def test_refused_before_any_open(self, monkeypatch, s):
+        def no_build(ground, masks):
+            raise AssertionError("opens built")
+
+        monkeypatch.setattr(topology, "_topology_from_masks", no_build)
+        opens = 2**s
+        refusal = (
+            f"^the discrete topology on {s} points has {opens * (opens - 1) // 2} "
+            f"pairs of {opens} opens, more than {PAIR_GUARD}$"
+        )
+        with pytest.raises(DomainError, match=refusal):
+            discrete_topology(g(*range(s)))
+
+    def test_ten_points_served(self):
+        t = discrete_topology(g(*range(10)))
+        assert t.open_count == 1024 and t.is_discrete()
 
 
 class TestTopologyType:
@@ -414,6 +439,41 @@ class TestRefusalMatrix:
                     next(stream)
                 if over:
                     assert str(caught.value).startswith(f"the {route} on {s} points")
+
+    @pytest.mark.parametrize("s", MATRIX_SIZES)
+    def test_stream_bound(self, s):
+        """C(2^s - 2, K - 2), the stream check's closed-form bound, is at
+        least every served count and above STREAM_GUARD wherever the tables
+        refuse, so skipping the count under it skips no refusal."""
+        for k in range(2, 10):
+            bound = math.comb(2**s - 2, k - 2)
+            if table_refuses(s, k):
+                assert bound > STREAM_GUARD, k
+            else:
+                assert bound >= count_open_masks(s, k), k
+
+    def test_stream_check_counts_only_past_the_bound(self, monkeypatch):
+        """(5, 7), bounded by C(30, 5) = 142,506, starts with no count;
+        (9, 6), bounded by C(510, 4), is counted and refused; an open count
+        of 2^62 on 64 points reaches the table guard with no binomial
+        computed, as its bound is at least 2^(2^62 - 2)."""
+
+        def no_count(s, k):
+            raise AssertionError("stream counted")
+
+        def small_comb(n, r):
+            assert r < STREAM_GUARD.bit_length()
+            return math.comb(n, r)
+
+        monkeypatch.setattr(topology, "count_topologies", no_count)
+        first = next(topologies_with_open_count(g(*range(5)), 7))
+        assert first.open_count == 7
+        monkeypatch.undo()
+        with pytest.raises(DomainError, match=r"^the bounded route on 9 points with 6 opens holds "):
+            next(topologies_with_open_count(g(*range(9)), 6))
+        monkeypatch.setattr(topology, "math", SimpleNamespace(comb=small_comb))
+        with pytest.raises(DomainError, match=r"^poset tables on 62 classes "):
+            next(topologies_with_open_count(g(*range(64)), 2**62))
 
     @pytest.mark.parametrize("s", MATRIX_SIZES)
     def test_served_streams_build_their_count(self, s):
