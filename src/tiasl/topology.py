@@ -5,20 +5,22 @@ then element tuple).  Topologies on an s-element set correspond one to one
 to pairs (partition of the set, labeled poset on the blocks): the opens are
 the unions of blocks over up-closed class sets, so a poset with exactly k
 up-sets yields a topology with exactly k opens.  One generator of labeled
-posets, by one-point extension, serves every route over that walk:
+posets, by one-point extension, and one stream of open families over that
+walk (``_abstract_open_masks``) serve every route:
 
 * :func:`enumerate_topologies` — every topology on ``x``, or those with a
   given open count, sorted into a fixed order.
 * :func:`topologies_with_open_count` — only the topologies with a fixed
   number of opens, streamed in walk order without building the rest.
+* :mod:`tiasl.search` — for a graph with no isolated vertex, only the
+  families with {position 0} open become topologies.
 
 The same walk counts that stream in closed form (:func:`count_open_masks`,
-and :func:`count_topologies` for either route) and walks only its families
-with {position 0} open (``_zero_open_masks``), so the searcher can certify
-the topologies it can never use without building them.  Each guard is
-checked once, where its cost arises: the poset tables (OPEN_COUNT_GUARD,
-ENUMERATE_GUARD), the families of any stream, the searcher's too
-(STREAM_GUARD), and the opens of :func:`discrete_topology` (PAIR_GUARD).
+and :func:`count_topologies` for either route), so the searcher can certify
+the topologies it never builds.  Each guard is checked once, where its cost
+arises: the poset tables (OPEN_COUNT_GUARD, ENUMERATE_GUARD), the families
+of any stream, the searcher's too (STREAM_GUARD), and the opens of
+:func:`discrete_topology` (PAIR_GUARD).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Graph
@@ -316,8 +319,6 @@ def _class_posets(s: int, k: int) -> Iterator[tuple[int, tuple[tuple[int, ...], 
     """(c, posets) for each class count c, ascending, at which an s-element
     set has topologies with exactly k opens: c blocks, and the labeled posets
     on the c classes with exactly k up-sets."""
-    if k < 2 or k > 2**s:
-        return
     for c in range(1, s + 1):
         if c + 1 > k or 2**c < k:
             continue
@@ -326,45 +327,21 @@ def _class_posets(s: int, k: int) -> Iterator[tuple[int, tuple[tuple[int, ...], 
             yield c, posets
 
 
-def _family_walk(
-    s: int, k: int
-) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """The partition × poset walk behind every open-family stream: yields
-    (index, blocks, posets) per partition, where the partition's families are
-    ``posets`` in order and the first of them is family ``index`` of the
-    stream."""
-    index = 0
-    for c, posets in _class_posets(s, k):
-        for blocks in _partitions_into_blocks(s, c):
-            yield index, blocks, posets
-            index += len(posets)
-
-
 def _abstract_open_masks(s: int, k: int) -> Iterator[tuple[int, ...]]:
     """Open families (as tuples of bit masks over positions 0..s-1) of every
-    topology on an s-element set with exactly k opens.  Each topology appears
-    exactly once: partition blocks and the induced class poset are recoverable
-    from the family."""
-    for _, blocks, posets in _family_walk(s, k):
-        union = _block_unions(blocks)
-        for ups in posets:
-            yield tuple([union[u] for u in ups])
-
-
-def _zero_open_masks(s: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, family) for the families of :func:`_abstract_open_masks` in
-    which the singleton {position 0} is open, where ``index`` is the family's
-    position in that stream.  {position 0} is open exactly when it is a block
-    of its own (block 0, as blocks are ordered by least member) and {class 0}
-    is an up-set; every other partition is skipped without building its
-    families."""
-    for index, blocks, posets in _family_walk(s, k):
-        if blocks[0] != 1:
-            continue
-        union = _block_unions(blocks)
-        for i, ups in enumerate(posets, index):
-            if 1 in ups:
-                yield i, tuple([union[u] for u in ups])
+    topology on an s-element set with exactly k opens, the one stream every
+    route walks: ascending class count, partitions by restricted growth
+    string, posets in table order.  Each topology appears exactly once:
+    partition blocks and the induced class poset are recoverable from the
+    family, and {position 0} is open exactly when the family holds mask 1."""
+    for c, posets in _class_posets(s, k):
+        # Each poset holds the empty class set and the full one, so at least
+        # 2 up-sets: every getter returns a tuple, never a bare mask.
+        getters = [itemgetter(*ups) for ups in posets]
+        for blocks in _partitions_into_blocks(s, c):
+            union = _block_unions(blocks)
+            for get in getters:
+                yield get(union)
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +428,9 @@ def _check_stream(stream: str, s: int, open_count: int | None) -> None:
     opens, past STREAM_GUARD before any is built.  They pick K - 2 of the
     2^s - 2 proper non-empty subsets, so they are counted only where that
     binomial, at least 2^r for its smaller side r, exceeds the guard, as it
-    does wherever the poset tables refuse."""
+    does wherever the poset tables refuse.  The searcher checks the whole
+    stream of a ground set, so the budget bounds the {0}-open part it turns
+    into topologies too."""
     if open_count is not None:
         r = min(open_count - 2, 2**s - open_count)
         if 0 <= r < STREAM_GUARD.bit_length() and math.comb(2**s - 2, r) <= STREAM_GUARD:

@@ -252,7 +252,6 @@ class TestFindTiasl:
         exhausted = find_tiasl(cycle(4), pendant_prune=False)
         monkeypatch.setattr(topology, "STREAM_GUARD", 0)
         monkeypatch.setattr(search, "_abstract_open_masks", no_walk)
-        monkeypatch.setattr(search, "_zero_open_masks", no_walk)
         refusal = r"^ground set \{0,1,2\} with 5 opens holds 6 topologies, more than 0$"
         with pytest.raises(DomainError, match=refusal):
             find_tiasl(pan(3))
@@ -315,8 +314,8 @@ def _counters(outcome):
 
 
 class TestCountedCertificates:
-    """The counted and {0}-open routes against the loop that built every
-    topology and skipped the ones no vertex could use."""
+    """The counted route and the {0}-open skip against the loop that built
+    every topology and skipped the ones no vertex could use."""
 
     # Minimum degree 2 and 1 (connected, order >= 2), and 0 (K1, and order-3
     # graphs plus an isolated vertex).
@@ -352,6 +351,50 @@ class TestCountedCertificates:
             assert _counters(out) == counters
             assert out.witness == witness
             assert tsin == len(witness.topology.ground)
+
+    def test_pendant_graphs_build_only_zero_open_topologies(self, monkeypatch):
+        """With no isolated vertex the search streams every family but builds
+        a topology only from those with {0} open: on each walked ground set
+        of the 61 pendant graphs of order 5-6, as many as the stream holds
+        up to the hit, and on the hit ground set exactly those, in order."""
+        walks = []
+        real_stream = search._abstract_open_masks
+        real_build = search._topology_from_masks
+
+        def stream(s, k):
+            walks.append((s, k, []))
+            return real_stream(s, k)
+
+        def build(x, masks):
+            t = real_build(x, masks)
+            walks[-1][2].append(t)
+            return t
+
+        monkeypatch.setattr(search, "_abstract_open_masks", stream)
+        monkeypatch.setattr(search, "_topology_from_masks", build)
+        graphs = [
+            g
+            for g in connected_graph_catalog(6)
+            if g.order >= 5 and pendant_vertices(g)
+        ]
+        assert len(graphs) == 61
+        for g in graphs:
+            walks.clear()
+            out = find_tiasl(g)
+            assert out.found and walks
+            for s, k, built in walks:
+                assert all(IntSet((0,)) in t.opens for t in built), g
+            *missed, (s, k, built) = walks
+            for s_, k_, built_ in missed:
+                zero = sum(1 in f for f in real_stream(s_, k_))
+                assert len(built_) == zero, g
+            x = out.witness.topology.ground
+            zero = [
+                real_build(x, translate_masks(f, x))
+                for f in real_stream(s, k)
+                if 1 in f
+            ]
+            assert built == zero[: zero.index(out.witness.topology) + 1], g
 
 
 def _compatible_partners(elems, a):
@@ -421,7 +464,6 @@ class TestGroundSetPrune:
             walked.append((s, k))
             return ()
 
-        monkeypatch.setattr(search, "_zero_open_masks", walk)
         monkeypatch.setattr(search, "_abstract_open_masks", walk)
         graphs = list(connected_graph_catalog(5)) + [
             _plus_isolated(g) for g in connected_graph_catalog(3)
@@ -720,6 +762,12 @@ class TestDiscreteAdmissibility:
 
     def test_large_star_control(self):
         verdict = discrete_admissibility(star(14), ground(0, 1, 2, 3))
+        assert verdict.admissible
+
+    def test_ten_points_admissible(self):
+        """The largest discrete check: 1,023 vertices, one backtracking
+        position each, matched by a loop rather than a recursion."""
+        verdict = discrete_admissibility(star(1022), GroundSet.from_elements(range(10)))
         assert verdict.admissible
 
     def test_eleven_points_refused_before_any_open(self, monkeypatch):

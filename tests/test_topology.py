@@ -38,7 +38,6 @@ from tiasl.topology import (
     _labeled_posets,
     _posets_with_up_set_count,
     _topology_from_masks,
-    _zero_open_masks,
     count_open_masks,
     translate_masks,
 )
@@ -321,11 +320,6 @@ class TestCountedStream:
         total = sum(count_open_masks(s, k) for k in range(2**s + 1))
         assert total == TestEnumeration.COUNTS[s]
 
-    @pytest.mark.parametrize("s,k", [(s, k) for s, k in SMALL_STREAMS if s <= 8])
-    def test_zero_open_walk_matches_filtered_stream(self, s, k):
-        want = [(i, a) for i, a in enumerate(_abstract_open_masks(s, k)) if 1 in a]
-        assert list(_zero_open_masks(s, k)) == want
-
 
 #: Gapped ground sets of every size up to 10.
 GAPPED = (0, 3, 4, 9, 17, 20, 31, 40, 52, 63)
@@ -510,17 +504,16 @@ def _or_blocks(class_mask, blocks):
 class TestBlockUnionTables:
     @pytest.mark.parametrize("s", range(1, 8))
     def test_generators_match_the_per_up_set_builder(self, s):
-        """Both generators yield the families of one union per up-set, in
-        the same order, for every open count up to 7."""
+        """The stream yields the families of one union per up-set, in walk
+        order, for every open count up to 7."""
         for k in range(8):
             want = [
-                (i, tuple(_or_blocks(u, blocks) for u in ups))
-                for index, blocks, posets in topology._family_walk(s, k)
-                for i, ups in enumerate(posets, index)
+                tuple(_or_blocks(u, blocks) for u in ups)
+                for c, posets in topology._class_posets(s, k)
+                for blocks in topology._partitions_into_blocks(s, c)
+                for ups in posets
             ]
-            assert list(enumerate(_abstract_open_masks(s, k))) == want, k
-            zero = [(i, f) for i, f in want if 1 in f]
-            assert list(_zero_open_masks(s, k)) == zero, k
+            assert list(_abstract_open_masks(s, k)) == want, k
 
 
 class TestTableBuiltTopologies:

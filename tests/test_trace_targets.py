@@ -49,3 +49,23 @@ def test_poset_tables_are_looked_up_through_module_globals(monkeypatch):
     monkeypatch.setattr(topology, "_posets_with_up_set_count", wrapper)
     assert sum(1 for _ in topology._abstract_open_masks(3, 4)) == 9
     assert calls == [(2, 4), (3, 4)]
+
+
+def test_every_topology_stream_of_the_search_is_traced():
+    """``topology.families`` and ``search.family_use_ratio`` count the
+    families the search streams, so every generator that ``tiasl.search``
+    takes from ``tiasl.topology`` must be wrapped as its ``gen`` target."""
+    from tiasl import search
+
+    traced = {
+        attr
+        for module_name, attr, kind, _target in _targets()
+        if module_name == "tiasl.search" and kind == "gen"
+    }
+    streams = {
+        name
+        for name, value in vars(search).items()
+        if inspect.isgeneratorfunction(value) and value.__module__ == "tiasl.topology"
+    }
+    assert "_abstract_open_masks" in streams
+    assert streams <= traced, streams - traced
