@@ -191,13 +191,26 @@ def _cmd_topologies(args) -> int:
         gen = topologies_with_open_count(x, args.opens)
     else:
         gen = enumerate_topologies(x, args.opens)
+    # An open's text holds only digits, braces and commas, so quoting it is
+    # wrapping it in '"', and the listing is joined here byte for byte as
+    # ``json.dumps(indent=2, sort_keys=True)`` (pure Python) would write it.
+    sep = '",\n      "' if args.json else " "
     text = cache(format_set)  # one text per open, not per open and row
-    rows = [[text(o) for o in t.opens] for t in gen]
-    _emit(
-        args,
-        lambda: {"ground": str(x), "count": len(rows), "topologies": rows},
-        lambda: "".join(" ".join(row) + "\n" for row in rows),
-    )
+    rows = [sep.join(map(text, t.opens)) for t in gen]
+    # Written part by part, so the joined rows are not copied again to add
+    # the document's head and tail.
+    if not args.json:
+        parts = ["\n".join(rows), "\n"] if rows else []  # no topology: no bytes
+    elif rows:
+        parts = [
+            f'{{\n  "count": {len(rows)},\n  "ground": "{x}",\n  "topologies": [\n    [\n      "',
+            '"\n    ],\n    [\n      "'.join(rows),
+            '"\n    ]\n  ]\n}\n',
+        ]
+    else:
+        parts = [f'{{\n  "count": 0,\n  "ground": "{x}",\n  "topologies": []\n}}\n']
+    for part in parts:
+        sys.stdout.write(part)
     return 0
 
 

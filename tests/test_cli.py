@@ -5,7 +5,17 @@ import json
 
 import pytest
 
-from tiasl import Graph, complete, emit_graph6, format_edge_list, pan, cycle, path
+from tiasl import (
+    GroundSet,
+    Graph,
+    complete,
+    cycle,
+    emit_graph6,
+    format_edge_list,
+    format_set,
+    pan,
+    path,
+)
 from tiasl import search, topology
 from tiasl.cli import main
 
@@ -480,6 +490,82 @@ class TestTopologies:
             captured = capsys.readouterr()
             assert (captured.out == "") == (rc == 2)
             assert captured.err.startswith("error: ") == (rc == 2)
+
+    @pytest.mark.parametrize("opens", ["0", "1", "5"])
+    def test_empty_listing_prints_nothing(self, capsys, opens):
+        """A ``K`` that no topology on X has lists no row: the text form
+        prints no bytes at all, the JSON form an empty ``topologies``."""
+        argv = ["topologies", "--ground", "{0,1}", "--opens", opens, "--list"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr() == (
+            '{\n  "count": 0,\n  "ground": "{0,1}",\n  "topologies": []\n}\n',
+            "",
+        )
+
+    @staticmethod
+    def _assert_listing(capsys, elems, opens):
+        """``--list`` prints the rows of the stream its route names: the text
+        form one line of open texts per topology, the ``--json`` form what
+        ``json.dumps(indent=2, sort_keys=True)`` writes for them."""
+        x = GroundSet.from_elements(elems)
+        if len(x) > topology.ENUMERATE_GUARD:
+            stream = topology.topologies_with_open_count(x, opens)
+        else:
+            stream = topology.enumerate_topologies(x, opens)
+        rows = [[format_set(o) for o in t.opens] for t in stream]
+        payload = {"ground": str(x), "count": len(rows), "topologies": rows}
+        argv = ["topologies", "--ground", str(x), "--list"]
+        argv += [] if opens is None else ["--opens", str(opens)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("".join(" ".join(r) + "\n" for r in rows), "")
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr() == (json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("gapped", [False, True], ids=["dense", "gapped"])
+    def test_listing_bytes_by_enumeration(self, capsys, s, gapped):
+        elems = (1, 3, 4, 9, 17)[:s] if gapped else range(s)
+        for opens in [None, *range(-1, 2**s + 2)]:
+            self._assert_listing(capsys, elems, opens)
+
+    @pytest.mark.parametrize("s", [6, 7])
+    def test_listing_bytes_by_the_bounded_route(self, capsys, s):
+        for opens in range(2, 8):
+            self._assert_listing(capsys, range(s), opens)
+
+    def test_listing_goes_through_the_traced_streams(self, monkeypatch, capsys):
+        """The benchmark tracer times the listing's streams by wrapping the
+        two names the CLI imports, so ``--list`` must iterate the stream its
+        route names, through that name."""
+        from tiasl import cli
+
+        calls = []
+
+        def counting(name, original):
+            def wrapper(x, opens=None):
+                calls.append((name, len(x)))
+                yield from original(x, opens)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counting("enumerate_topologies", cli.enumerate_topologies)
+        counting("topologies_with_open_count", cli.topologies_with_open_count)
+        for ground, opens in [("{0,1,2}", None), ("{0,3,4,9,17}", "5"), ("{0,1,2,3,4,5}", "4")]:
+            argv = ["topologies", "--ground", ground, "--list"]
+            argv += [] if opens is None else ["--opens", opens]
+            for form in ([], ["--json"]):
+                assert main(argv + form) == 0
+        capsys.readouterr()
+        assert calls == [
+            ("enumerate_topologies", 3),
+            ("enumerate_topologies", 3),
+            ("enumerate_topologies", 5),
+            ("enumerate_topologies", 5),
+            ("topologies_with_open_count", 6),
+            ("topologies_with_open_count", 6),
+        ]
 
 
 class TestAnalyze:
