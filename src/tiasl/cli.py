@@ -183,34 +183,30 @@ def _cmd_topologies(args) -> int:
             f"without --opens K the ground set is limited to size {ENUMERATE_GUARD}, "
             f"got size {s}"
         )
+    count = count_topologies(s, args.opens)
     if not args.list:
-        count = count_topologies(s, args.opens)
         _emit(args, lambda: {"ground": str(x), "count": count}, lambda: f"{count}\n")
         return 0
     if s > ENUMERATE_GUARD:
         gen = topologies_with_open_count(x, args.opens)
     else:
         gen = enumerate_topologies(x, args.opens)
-    # An open's text holds only digits, braces and commas, so quoting it is
-    # wrapping it in '"', and the listing is joined here byte for byte as
-    # ``json.dumps(indent=2, sort_keys=True)`` (pure Python) would write it.
-    sep = '",\n      "' if args.json else " "
     text = cache(format_set)  # one text per open, not per open and row
-    rows = [sep.join(map(text, t.opens)) for t in gen]
-    # Written part by part, so the joined rows are not copied again to add
-    # the document's head and tail.
     if not args.json:
-        parts = ["\n".join(rows), "\n"] if rows else []  # no topology: no bytes
-    elif rows:
-        parts = [
-            f'{{\n  "count": {len(rows)},\n  "ground": "{x}",\n  "topologies": [\n    [\n      "',
-            '"\n    ],\n    [\n      "'.join(rows),
-            '"\n    ]\n  ]\n}\n',
-        ]
-    else:
-        parts = [f'{{\n  "count": 0,\n  "ground": "{x}",\n  "topologies": []\n}}\n']
-    for part in parts:
-        sys.stdout.write(part)
+        sys.stdout.writelines(" ".join(map(text, t.opens)) + "\n" for t in gen)
+        return 0
+    # An open's text holds only digits, braces and commas, so quoting it is
+    # wrapping it in '"', and each row is written byte for byte as
+    # ``json.dumps(indent=2, sort_keys=True)`` (pure Python) would write it.
+    sep = '",\n      "'
+    rows = (f'    [\n      "{sep.join(map(text, t.opens))}"\n    ]' for t in gen)
+    first = next(rows, None)  # the stream's guard refuses before the head
+    sys.stdout.write(f'{{\n  "count": {count},\n  "ground": "{x}",\n  "topologies": [')
+    if first is not None:
+        sys.stdout.write("\n" + first)
+        sys.stdout.writelines(",\n" + row for row in rows)
+        sys.stdout.write("\n  ")
+    sys.stdout.write("]\n}\n")
     return 0
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import io
 import json
+import sys
 
 import pytest
 
@@ -402,14 +404,17 @@ class TestTopologies:
         assert main(["topologies", "--ground", "{0,1,"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("form", ["--list"])
+    @pytest.mark.parametrize("form", [["--list"], ["--list", "--json"]], ids=" ".join)
     def test_stream_past_the_guard_exit_2(self, monkeypatch, capsys, form):
+        """The stream refuses before its first topology, and a listing
+        writes nothing before that, the JSON head included."""
+
         def no_walk(s, k):
             raise AssertionError("stream walked")
 
         monkeypatch.setattr(topology, "_abstract_open_masks", no_walk)
         ground = "{0,1,2,3,4,5,6,7,8,9}"
-        assert main(["topologies", "--ground", ground, "--opens", "7", form]) == 2
+        assert main(["topologies", "--ground", ground, "--opens", "7", *form]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -566,6 +571,34 @@ class TestTopologies:
             ("topologies_with_open_count", 6),
             ("topologies_with_open_count", 6),
         ]
+
+    @pytest.mark.parametrize("ground,opens", [("{0,1,2}", None), ("{0,1,2,3,4,5}", "4")])
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_listing_writes_each_row_as_it_comes(self, monkeypatch, ground, opens, form):
+        """A listing holds no rows: by the time either traced stream yields
+        its second topology, the first row is written, after the JSON head."""
+        from tiasl import cli
+
+        out = io.StringIO()
+        written = []
+
+        def recording(name, original):
+            def wrapper(x, opens=None):
+                for i, t in enumerate(original(x, opens)):
+                    if i == 1:
+                        written.append(out.getvalue())
+                    yield t
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        recording("enumerate_topologies", cli.enumerate_topologies)
+        recording("topologies_with_open_count", cli.topologies_with_open_count)
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["topologies", "--ground", ground, "--list", *form]
+        assert main(argv + ([] if opens is None else ["--opens", opens])) == 0
+        listing = out.getvalue()
+        first_row_end = "\n    ]" if form else "\n"
+        assert written == [listing[: listing.index(first_row_end) + len(first_row_end)]]
 
 
 class TestAnalyze:

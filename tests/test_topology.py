@@ -379,6 +379,35 @@ class TestCountTopologies:
             assert str(counted.value) == str(refused.value)
 
 
+    @pytest.mark.parametrize("s", [1500, 10**6])
+    def test_three_opens_on_many_points(self, s):
+        """Three opens pick one proper non-empty subset: the count's work
+        does not recurse once per point."""
+        assert count_topologies(s, 3) == 2**s - 2
+
+    def test_matches_the_stirling_triangle(self):
+        """Every count on s <= 64 points with K <= 9 opens is the sum over
+        class counts c < K <= 2^c of S(s, c) times the posets on c classes
+        with K up-sets, S taken from the triangle S(n, c) = c·S(n-1, c) +
+        S(n-1, c-1); where the poset tables refuse, the count does."""
+        triangle = [[1]]
+        for n in range(1, 65):
+            prev = triangle[-1] + [0]
+            triangle.append([0] + [c * prev[c] + prev[c - 1] for c in range(1, n + 1)])
+        for s in range(1, 65):
+            for k in range(-1, 10):
+                if table_refuses(s, k):
+                    with pytest.raises(DomainError):
+                        count_topologies(s, k)
+                    continue
+                want = sum(
+                    triangle[s][c] * len(_posets_with_up_set_count(c, k))
+                    for c in range(1, s + 1)
+                    if c < k <= 2**c
+                )
+                assert count_topologies(s, k) == want, (s, k)
+
+
 #: Ground sizes and open counts of the refusal matrix below.
 MATRIX_SIZES = [*range(1, 13), 64]
 MATRIX_COUNTS = [None, *range(-1, 10), 65]
